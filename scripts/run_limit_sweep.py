@@ -2,7 +2,8 @@
 
 Covers the three regimes: short-time inner-stable, long-time outer-stable,
 and long-time Gaussian (outer index above two).  Writes one CSV per regime
-with columns h, distance.
+with columns h, distance.  Each point is the `layerlab limit-check` routine
+(limits.limit_target_and_samples) on a symmetric measure.
 
 Usage: python scripts/run_limit_sweep.py --paths 4000 --out-dir out/
 """
@@ -12,15 +13,13 @@ import os
 
 import numpy as np
 
-from layerlab import (GaussianCF, LayeredQ, SphericalMeasure, StableCF,
-                      auto_r_cut, cf_distance, gaussian_covariance,
-                      layered_terminals_gaussian)
+from layerlab import SphericalMeasure, cf_distance, limit_target_and_samples
 
 REGIMES = {
-    # name: (alpha, beta, sigma mass, h grid, limit index or "gauss")
-    "short": (1.3, 1.9, 2.0, np.logspace(0, -4, 9), 1.3),
-    "long_stable": (1.3, 1.9, 2.0, np.logspace(0, 4, 9), 1.9),
-    "long_gauss": (1.1, 2.5, 1.0, np.logspace(0, 4, 9), "gauss"),
+    # name: (alpha, beta, sigma mass, h grid, limit mode)
+    "short": (1.3, 1.9, 2.0, np.logspace(0, -4, 9), "short"),
+    "long_stable": (1.3, 1.9, 2.0, np.logspace(0, 4, 9), "long"),
+    "long_gauss": (1.1, 2.5, 1.0, np.logspace(0, 4, 9), "long"),
 }
 
 
@@ -32,21 +31,12 @@ def main():
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, (alpha, beta, mass, hs, limit) in REGIMES.items():
+    for name, (alpha, beta, mass, hs, mode) in REGIMES.items():
         sigma = SphericalMeasure.symmetric_pair(mass)
-        q = LayeredQ.canonical(alpha, beta, mass)
-        if limit == "gauss":
-            target = GaussianCF(gaussian_covariance(q, sigma))
-            index = 2.0
-        else:
-            target = StableCF(limit, sigma)
-            index = limit
         rows = []
         for h in hs:
-            x = layered_terminals_gaussian(alpha, beta, sigma, h,
-                                           auto_r_cut(q, mass, h),
-                                           args.paths, args.seed)
-            rescaled = x * h ** (-1.0 / index)
+            target, rescaled, _spec = limit_target_and_samples(
+                alpha, beta, sigma, mode, h, args.paths, args.seed)
             rows.append([h, cf_distance(rescaled, target)])
         out = os.path.join(args.out_dir, f"limit_{name}.csv")
         np.savetxt(out, np.array(rows), delimiter=",", header="h,distance",

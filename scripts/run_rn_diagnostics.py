@@ -2,18 +2,14 @@
 
 Prints a small table of E[e^{U'_T}] and E[e^{-U''_T}] (both should be 1)
 and cross-validates an importance-sampled exceedance probability against a
-direct estimate.
+direct estimate, using the `layerlab rn` routine (girsanov.rn_diagnostics).
 
 Usage: python scripts/run_rn_diagnostics.py --paths 4000
 """
 
 import argparse
 
-import numpy as np
-
-from layerlab import (SphericalMeasure, draw_shot_noise,
-                      layered_path_canonical, make_grid, stable_path,
-                      substream, u_series)
+from layerlab import SphericalMeasure, rn_diagnostics
 
 
 def main():
@@ -26,38 +22,20 @@ def main():
     ap.add_argument("--gamma-cap", type=float, default=2000.0)
     args = ap.parse_args()
 
-    alpha, beta = args.alpha, args.beta
-    sigma = SphericalMeasure.symmetric_pair(2.0)
-    m = sigma.total_mass()
-    grid = make_grid(1.0, 200)
-    n = args.paths
+    rep = rn_diagnostics(args.alpha, args.beta, SphericalMeasure.symmetric_pair(2.0),
+                         f"sup-exceeds:{args.level}", args.paths, args.seed,
+                         gamma_cap=args.gamma_cap)
 
-    w_p = np.empty(n)
-    w_d = np.empty(n)
-    rw = np.empty(n)
-    direct = np.empty(n)
-    for i in range(n):
-        draw = draw_shot_noise(substream(args.seed, i), 1.0, sigma,
-                               args.gamma_cap)
-        w_p[i] = np.exp(u_series(draw, alpha, beta, m, 1.0, "prime"))
-        w_d[i] = np.exp(-u_series(draw, alpha, beta, m, 1.0, "doubleprime"))
-        y = stable_path(alpha, sigma, draw, grid)
-        rw[i] = w_p[i] * float(np.max(np.abs(y.values)) > args.level)
-        draw2 = draw_shot_noise(substream(args.seed + 10 ** 6, i), 1.0,
-                                sigma, args.gamma_cap)
-        x = layered_path_canonical(alpha, beta, sigma, draw2, grid)
-        direct[i] = float(np.max(np.abs(x.values)) > args.level)
+    def line(label, mean, se=None):
+        print(f"{label:34s} {mean:10.5f}" + ("" if se is None else f" +- {se:.5f}"))
 
-    def line(label, v):
-        mean = np.mean(v)
-        se = np.std(v, ddof=1) / np.sqrt(n)
-        print(f"{label:34s} {mean:10.5f} +- {se:.5f}")
-
-    print(f"(alpha, beta) = ({alpha}, {beta}), {n} paths")
-    line("E[exp(U'_1)]   (should be 1)", w_p)
-    line("E[exp(-U''_1)] (should be 1)", w_d)
-    line(f"P(sup|X| > {args.level}) reweighted", rw)
-    line(f"P(sup|X| > {args.level}) direct", direct)
+    print(f"(alpha, beta) = ({args.alpha}, {args.beta}), {args.paths} paths, "
+          f"{rep['clip_count']} clipped log weights")
+    line("E[exp(U'_1)]   (should be 1)", rep["mean_weight"], rep["mean_weight_se"])
+    line("E[exp(-U''_1)] (should be 1)", rep["mean_weight_doubleprime"])
+    line(f"P(sup|X| > {args.level}) reweighted", rep["reweighted_estimate"],
+         rep["reweighted_se"])
+    line(f"P(sup|X| > {args.level}) direct", rep["direct_estimate"], rep["direct_se"])
 
 
 if __name__ == "__main__":

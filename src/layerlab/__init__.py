@@ -2,12 +2,13 @@
 Levy processes."""
 
 from ._special import EULER_GAMMA, isotropic_cf_constant, stable_cf_constant, zeta
-from .girsanov import (DensityRatio, WeightedPathSample, drift_compatibility,
-                       nu_gap, required_drift_difference, reweighted_expectation,
+from .girsanov import (DensityRatio, drift_compatibility, nu_gap,
+                       required_drift_difference, rn_diagnostics,
                        singularity_witness, u_canonical, u_from_jumps,
                        u_levy_tail, u_series)
-from .limits import (LimitSpec, gaussian_covariance, long_time_constants,
-                     rescale_path, rescale_terminal, short_time_constants)
+from .limits import (LimitSpec, gaussian_covariance, limit_target_and_samples,
+                     long_time_constants, rescale_terminal,
+                     short_time_constants)
 from .mc import (auto_r_cut, layered_terminals, layered_terminals_gaussian,
                  mixed_terminals, rejection_terminals, run_paths,
                  stable_terminals, stable_terminals_gaussian, substream,
@@ -15,8 +16,7 @@ from .mc import (auto_r_cut, layered_terminals, layered_terminals_gaussian,
 from .qfunc import (DerivedSphericalPair, LayeredQ, QuadratureError, blend_q,
                     derive_sigma_pair, levy_tail_mass, parse_q_spec)
 from .series import (MixDistribution, SamplePath, ShotNoiseDraw,
-                     canonical_centering_b, canonical_centering_sum,
-                     canonical_magnitudes,
+                     canonical_centering_sum, canonical_magnitudes,
                      draw_shot_noise, layered_path_canonical,
                      layered_path_general, layered_path_rejection, make_grid,
                      mixed_path, stable_drift_constant, stable_path,

@@ -5,24 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, zeta as _zeta
 
 EULER_GAMMA = float(np.euler_gamma)
-
-
-def _eta(s: float, n: int = 40) -> float:
-    # Cohen-Rodriguez Villegas-Zagier acceleration of the alternating
-    # Dirichlet series; error decays like (3+sqrt(8))^-n.
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    total = 0.0
-    for k in range(n):
-        c = b - c
-        total += c * (k + 1.0) ** (-s)
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return total / d
 
 
 def zeta(s: float) -> float:
@@ -31,7 +16,7 @@ def zeta(s: float) -> float:
         raise ValueError(f"zeta: need s > 0, got {s}")
     if s == 1.0:
         raise ValueError("zeta: pole at s = 1")
-    return _eta(s) / (1.0 - 2.0 ** (1.0 - s))
+    return float(_zeta(s))
 
 
 def stable_cf_constant(alpha: float) -> float:
@@ -55,7 +40,3 @@ def isotropic_cf_constant(beta: float, d: int, sigma2_mass: float) -> float:
     den = 2.0 ** beta * beta * float(_gamma((beta + d) / 2.0))
     return num / den * sigma2_mass
 
-
-def gamma_fn(x: float) -> float:
-    """Gamma function (negative non-integer arguments allowed)."""
-    return float(_gamma(x))

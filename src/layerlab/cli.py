@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from . import girsanov, limits, mc, series, stats
+from ._special import zeta
 from .qfunc import LayeredQ
 from .series import draw_shot_noise, make_grid
 from .spherical import SphericalMeasure, parse_spherical_spec
@@ -51,6 +52,15 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _emit(out, report):
+    """Write a JSON report to the --out path, or to stdout without one."""
+    if out:
+        write_json(out, report)
+    else:
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+
+
 def read_config_file(path) -> dict:
     """Parse a `key = value` config file; '#' starts a comment."""
     out = {}
@@ -74,10 +84,6 @@ def _parse_mix(text: str) -> series.MixDistribution:
         atoms.append(float(a))
         probs.append(float(p))
     return series.MixDistribution(np.array(atoms), np.array(probs))
-
-
-def _sigma_from(cfg) -> SphericalMeasure:
-    return parse_spherical_spec(cfg["sigma"])
 
 
 PROCESSES = ("stable", "layered", "layered-rejection", "mixed")
@@ -111,7 +117,7 @@ def _merge_config(args, keys) -> dict:
     return cfg
 
 
-def _simulate_one(process, cfg, sigma, draw, grid):
+def _simulate_one(process, cfg, sigma, draw, grid, mix):
     alpha = float(cfg["alpha"])
     if process == "stable":
         return series.stable_path(alpha, sigma, draw, grid)
@@ -122,7 +128,7 @@ def _simulate_one(process, cfg, sigma, draw, grid):
         return series.layered_path_rejection(alpha, float(cfg["beta"]), sigma,
                                              draw, cfg.get("base", "inner"), grid)
     if process == "mixed":
-        return series.mixed_path(_parse_mix(cfg["mix"]), sigma, draw, grid)
+        return series.mixed_path(mix, sigma, draw, grid)
     raise ConfigError(f"unknown process {process!r}")
 
 
@@ -143,7 +149,7 @@ def _parse_coupled(text):
 def cmd_simulate(args) -> int:
     cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "T",
                                "grid_n", "paths", "seed", "gamma_cap",
-                               "format"))
+                               "format", "base", "mix"))
     process = cfg["process"]
     if process not in PROCESSES:
         raise ConfigError(f"process must be one of {PROCESSES}")
@@ -151,9 +157,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError("alpha is required")
     if process in ("layered", "layered-rejection") and cfg.get("beta") is None:
         raise ConfigError("beta is required for layered processes")
-    sigma = _sigma_from(cfg)
+    if process == "mixed" and cfg.get("mix") is None:
+        raise ConfigError("mix is required for the mixed process")
+    sigma = parse_spherical_spec(cfg["sigma"])
     T = float(cfg["T"])
     n_paths = int(cfg["paths"])
+    if n_paths < 1:
+        raise ConfigError("paths must be at least 1")
     seed = int(cfg["seed"])
     gamma_cap = float(cfg["gamma_cap"])
     grid = make_grid(T, int(cfg["grid_n"]))
@@ -173,7 +183,7 @@ def cmd_simulate(args) -> int:
             local = dict(cfg)
             if alpha_over is not None:
                 local["alpha"] = str(alpha_over)
-            path = _simulate_one(proc, local, sigma, draw, grid)
+            path = _simulate_one(proc, local, sigma, draw, grid, mix)
             name = stem
             if label != process or len(jobs) > 1:
                 name += f"_{label}"
@@ -190,8 +200,8 @@ def cmd_simulate(args) -> int:
                                sigma.total_mass())
         bound = series.truncation_bound(q, sigma, gamma_cap)
     else:
-        amin = float(np.min(_parse_mix(cfg["mix"]).atoms))
-        bound = series.stable_truncation_bound(amin, sigma, gamma_cap)
+        bound = series.stable_truncation_bound(float(np.min(mix.atoms)), sigma,
+                                               gamma_cap)
     manifest = {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "coupled": args.coupled or "",
@@ -204,61 +214,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _limit_target_and_samples(cfg, mode, h, n_paths, seed):
-    alpha = float(cfg["alpha"])
-    beta = float(cfg["beta"])
-    sigma = _sigma_from(cfg)
-    m = sigma.total_mass()
-    q = LayeredQ.canonical(alpha, beta, m)
-    if mode == "short":
-        eta, b = limits.short_time_constants(q, sigma)
-        spec = limits.LimitSpec(limits.SHORT_STABLE, h, alpha, eta, b)
-        target = stats.StableCF.series_marginal(alpha, sigma)
-    elif mode == "long" and beta < 2.0:
-        eta, b = limits.long_time_constants(q, sigma)
-        spec = limits.LimitSpec(limits.LONG_STABLE, h, beta, eta, b)
-        target = stats.StableCF.series_marginal(beta, sigma)
-    elif mode == "long" and beta > 2.0:
-        eta, b = limits.long_time_constants(q, sigma)
-        spec = limits.LimitSpec(limits.LONG_GAUSSIAN, h, 2.0, eta, b)
-        target = stats.GaussianCF(limits.gaussian_covariance(q, sigma))
-    else:
-        raise ConfigError("beta = 2 has no long-time limit")
-    if sigma.is_symmetric():
-        r_cut = mc.auto_r_cut(q, m, h)
-        x = mc.layered_terminals_gaussian(alpha, beta, sigma, h, r_cut,
-                                          n_paths, seed)
-    else:
-        gamma_cap = float(cfg["gamma_cap"]) / min(h, 1.0)
-        grid = np.array([0.0, h])
-
-        def one(ss, _i):
-            draw = draw_shot_noise(ss, h, sigma, gamma_cap)
-            return series.layered_path_canonical(alpha, beta, sigma, draw,
-                                                 grid).terminal
-        x = mc.run_paths(one, n_paths, seed, sigma.dimension)
-    rescaled = limits.rescale_terminal(x, h, spec)
-    return target, rescaled, spec
-
-
 def cmd_limit_check(args) -> int:
     cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed",
                                "gamma_cap"))
     if cfg.get("alpha") is None or cfg.get("beta") is None:
         raise ConfigError("alpha and beta are required")
-    mode = args.mode
-    if mode not in ("short", "long"):
-        raise ConfigError("mode must be short or long")
-    if float(cfg["beta"]) == 2.0 and mode == "long":
-        raise ConfigError("beta = 2: the rescaled process does not converge")
     h = float(args.h)
     n_paths = int(cfg["paths"])
     threshold = float(args.threshold)
-    target, rescaled, spec = _limit_target_and_samples(
-        cfg, mode, h, n_paths, int(cfg["seed"]))
+    target, rescaled, spec = limits.limit_target_and_samples(
+        float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
+        args.mode, h, n_paths, int(cfg["seed"]), float(cfg["gamma_cap"]))
     dist = stats.cf_distance(rescaled, target)
     report = {
-        "mode": mode,
+        "mode": args.mode,
         "h": h,
         "index": spec.index,
         "eta": list(np.atleast_1d(spec.eta)),
@@ -268,98 +237,18 @@ def cmd_limit_check(args) -> int:
         "threshold": threshold,
         "pass": bool(dist < threshold),
     }
-    if args.out:
-        write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    _emit(args.out, report)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
-
-
-def _functional(spec_text: str):
-    name, _, arg = spec_text.partition(":")
-    if name == "sup-exceeds":
-        r = float(arg)
-        return lambda path: float(np.max(np.linalg.norm(path.values, axis=1)) > r)
-    if name == "terminal-exceeds":
-        r = float(arg)
-        return lambda path: float(np.linalg.norm(path.terminal) > r)
-    if name == "one":
-        return lambda path: 1.0
-    raise ConfigError(f"unknown functional {spec_text!r}")
 
 
 def cmd_rn(args) -> int:
     cfg = _merge_config(args, ("alpha", "beta", "sigma", "T", "grid_n",
                                "paths", "seed", "gamma_cap"))
-    alpha = float(cfg["alpha"])
-    beta = float(cfg["beta"])
-    if alpha == beta:
-        raise ConfigError("alpha = beta is a degenerate change of measure")
-    sigma = _sigma_from(cfg)
-    T = float(cfg["T"])
-    n_paths = int(cfg["paths"])
-    seed = int(cfg["seed"])
-    gamma_cap = float(cfg["gamma_cap"])
-    grid = make_grid(T, int(cfg["grid_n"]))
-    f = _functional(args.functional)
-    m = sigma.total_mass()
-
-    w_prime = np.empty(n_paths)
-    w_dprime = np.empty(n_paths)
-    f_stable = np.empty(n_paths)
-    f_layered = np.empty(n_paths)
-    clip_count = 0
-    for i in range(n_paths):
-        draw = draw_shot_noise(mc.substream(seed, i), T, sigma, gamma_cap)
-        y = series.stable_path(alpha, sigma, draw, grid)
-        x = series.layered_path_canonical(alpha, beta, sigma, draw, grid)
-        lw_p = girsanov.u_series(draw, alpha, beta, m, T, "prime")
-        lw_d = -girsanov.u_series(draw, alpha, beta, m, T, "doubleprime")
-        clip_count += int(abs(lw_p) > girsanov.LOG_WEIGHT_CLIP)
-        clip_count += int(abs(lw_d) > girsanov.LOG_WEIGHT_CLIP)
-        w_prime[i] = np.exp(np.clip(
-            lw_p, -girsanov.LOG_WEIGHT_CLIP, girsanov.LOG_WEIGHT_CLIP))
-        w_dprime[i] = np.exp(np.clip(
-            lw_d, -girsanov.LOG_WEIGHT_CLIP, girsanov.LOG_WEIGHT_CLIP))
-        f_stable[i] = f(y)
-        f_layered[i] = f(x)
-
-    # direct estimates from an independent batch
-    direct = np.empty(n_paths)
-    for i in range(n_paths):
-        draw = draw_shot_noise(mc.substream(seed + 777777, i), T, sigma, gamma_cap)
-        x = series.layered_path_canonical(alpha, beta, sigma, draw, grid)
-        direct[i] = f(x)
-
-    def mean_se(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(len(v)))
-
-    mean_w, se_w = mean_se(w_prime)
-    rw_est, rw_se = mean_se(w_prime * f_stable)
-    di_est, di_se = mean_se(direct)
-    report = {
-        "alpha": alpha,
-        "beta": beta,
-        "paths": n_paths,
-        "mean_weight": mean_w,
-        "mean_weight_se": se_w,
-        "mean_weight_doubleprime": mean_se(w_dprime)[0],
-        "functional": args.functional,
-        "reweighted_estimate": rw_est,
-        "reweighted_se": rw_se,
-        "direct_estimate": di_est,
-        "direct_se": di_se,
-        "combined_se": float(np.hypot(rw_se, di_se)),
-        "clip_count": clip_count,
-        "normalization_ok": bool(abs(mean_w - 1.0) < 4.0 * se_w),
-        "agreement_ok": bool(abs(rw_est - di_est) < 4.0 * np.hypot(rw_se, di_se)),
-    }
-    if args.out:
-        write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    report = girsanov.rn_diagnostics(
+        float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
+        args.functional, int(cfg["paths"]), int(cfg["seed"]), T=float(cfg["T"]),
+        grid_n=int(cfg["grid_n"]), gamma_cap=float(cfg["gamma_cap"]))
+    _emit(args.out, report)
     ok = report["normalization_ok"] and report["agreement_ok"]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -370,7 +259,7 @@ def cmd_tail(args) -> int:
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
-    sigma = _sigma_from(cfg)
+    sigma = parse_spherical_spec(cfg["sigma"])
     alpha = float(cfg["alpha"])
     seed = int(cfg["seed"])
     cap = float(cfg["gamma_cap"])
@@ -396,11 +285,7 @@ def cmd_tail(args) -> int:
         "ci_high": hi,
         "nominal_index": true_index,
     }
-    if args.out:
-        write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    _emit(args.out, report)
     return EXIT_OK
 
 
@@ -414,13 +299,13 @@ _ZETA_REFERENCE = {
 }
 
 
-def _selftest_checks():
+def _selftest_checks(zeta_fn):
     sym = SphericalMeasure.symmetric_pair(2.0)
 
     def check_zeta_drift():
         worst = 0.0
         for s, ref in _ZETA_REFERENCE.items():
-            worst = max(worst, abs(series.zeta(s) - ref))
+            worst = max(worst, abs(zeta_fn(s) - ref))
         return worst, 1e-9, "b_T drift constant (zeta on (1/2,1))"
 
     def check_inverse_roundtrip():
@@ -474,27 +359,21 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    real_zeta = series.zeta
-    if getattr(args, "corrupt_zeta", False):
-        # negative-control hook: perturb the zeta used by the series drift
-        series.zeta = lambda s: real_zeta(s) + 0.05
+    # negative-control hook: --corrupt-zeta perturbs the zeta the drift check sees
+    zeta_fn = (lambda s: zeta(s) + 0.05) if args.corrupt_zeta else zeta
     failures = 0
-    try:
-        print(f"{'check':32s} {'value':>12s} {'limit':>12s}  result")
-        for name, fn in _selftest_checks():
-            try:
-                value, limit, _desc = fn()
-                ok = value <= limit
-            except Exception as exc:  # a crashed check is a failed check
-                value, limit, ok = float("nan"), float("nan"), False
-                print(f"{name:32s} {'error':>12s} {'':>12s}  FAIL ({exc})")
-                failures += 1
-                continue
-            print(f"{name:32s} {value:12.4g} {limit:12.4g}  {'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures += 1
-    finally:
-        series.zeta = real_zeta
+    print(f"{'check':32s} {'value':>12s} {'limit':>12s}  result")
+    for name, fn in _selftest_checks(zeta_fn):
+        try:
+            value, limit, _desc = fn()
+            ok = value <= limit
+        except Exception as exc:  # a crashed check is a failed check
+            print(f"{name:32s} {'error':>12s} {'':>12s}  FAIL ({exc})")
+            failures += 1
+            continue
+        print(f"{name:32s} {value:12.4g} {limit:12.4g}  {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures += 1
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

@@ -1,7 +1,7 @@
 """Change-of-measure machinery between a layered process and its reference
 stable process: the log density ratio phi, the Radon-Nikodym Levy process U
-in jump-sum and series forms, drift compatibility, and importance-sampling
-estimators.
+in jump-sum and series forms, drift compatibility, and the importance-sampling
+diagnostic.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
+from .mc import substream
 from .qfunc import LayeredQ, derive_sigma_pair, levy_tail_mass
-from .series import SamplePath, ShotNoiseDraw
+from .series import (SamplePath, ShotNoiseDraw, draw_shot_noise,
+                     layered_path_canonical, make_grid, stable_path)
 from .spherical import SphericalMeasure
 
 LOG_WEIGHT_CLIP = 500.0
@@ -61,21 +63,6 @@ class DensityRatio:
         if c2 <= 0.0:
             raise ValueError("psi is undefined where c2 vanishes")
         return float(np.log(q.eval_q(r, xi) / (c2 * r ** (-q.beta - 1.0))))
-
-
-@dataclass(frozen=True)
-class WeightedPathSample:
-    """A simulated path with its log Radon-Nikodym weight."""
-
-    path: SamplePath
-    log_weight: float
-    measure_tag: str        # "P" (stable reference) or "Q" (layered reference)
-
-    def __post_init__(self):
-        if not np.isfinite(self.log_weight):
-            raise ValueError("log weight must be finite")
-        if self.measure_tag not in ("P", "Q"):
-            raise ValueError(f"measure tag must be 'P' or 'Q', got {self.measure_tag!r}")
 
 
 def drift_compatibility(q: LayeredQ, sigma: SphericalMeasure, k0, k1,
@@ -207,25 +194,76 @@ def u_series(draw: ShotNoiseDraw, alpha: float, beta: float, sigma_mass: float,
     return (-(alpha - beta) / idx) * s - t * (1.0 / beta - 1.0 / alpha) * sigma_mass
 
 
-def reweighted_expectation(samples, f):
-    """Weighted Monte Carlo mean of a path functional.
+def _path_functional(spec: str) -> Callable[[SamplePath], float]:
+    """Parse a path functional: sup-exceeds:r, terminal-exceeds:r or one."""
+    name, _, arg = spec.partition(":")
+    if name == "sup-exceeds":
+        r = float(arg)
+        return lambda path: float(np.max(np.linalg.norm(path.values, axis=1)) > r)
+    if name == "terminal-exceeds":
+        r = float(arg)
+        return lambda path: float(np.linalg.norm(path.terminal) > r)
+    if name == "one":
+        return lambda path: 1.0
+    raise ValueError(f"unknown functional {spec!r}")
 
-    Returns (estimate, standard error, clip count).  Log weights are clipped
-    at +-500 before exponentiation; the clip count reports how often.
+
+def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,
+                   functional: str, n_paths: int, seed: int, T: float = 1.0,
+                   grid_n: int = 200, gamma_cap: float = 1e4) -> dict:
+    """Radon-Nikodym check of the canonical layered law against its stable
+    reference on shared series draws.
+
+    The report holds the means of e^{U'_T} and e^{-U''_T} (both should be 1),
+    the functional's expectation under the layered law reweighted from stable
+    paths and estimated directly from an independent batch (seed + 777777),
+    and how many log weights were clipped at +-LOG_WEIGHT_CLIP.
     """
-    if not samples:
-        raise ValueError("no samples")
-    tags = {s.measure_tag for s in samples}
-    if len(tags) != 1:
-        raise ValueError("samples mix reference measures")
-    clipped = sum(1 for s in samples if abs(s.log_weight) > LOG_WEIGHT_CLIP)
-    vals = np.array([
-        np.exp(np.clip(s.log_weight, -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP)) * f(s.path)
-        for s in samples])
-    n = len(vals)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return est, se, clipped
+    if alpha == beta:
+        raise ValueError("alpha = beta is a degenerate change of measure")
+    f = _path_functional(functional)
+    grid = make_grid(T, grid_n)
+    m = sigma.total_mass()
+    w_prime = np.empty(n_paths)
+    w_dprime = np.empty(n_paths)
+    f_stable = np.empty(n_paths)
+    direct = np.empty(n_paths)
+    clip_count = 0
+    for i in range(n_paths):
+        draw = draw_shot_noise(substream(seed, i), T, sigma, gamma_cap)
+        lw_p = u_series(draw, alpha, beta, m, T, "prime")
+        lw_d = -u_series(draw, alpha, beta, m, T, "doubleprime")
+        clip_count += int(abs(lw_p) > LOG_WEIGHT_CLIP) + int(abs(lw_d) > LOG_WEIGHT_CLIP)
+        w_prime[i] = np.exp(np.clip(lw_p, -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP))
+        w_dprime[i] = np.exp(np.clip(lw_d, -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP))
+        f_stable[i] = f(stable_path(alpha, sigma, draw, grid))
+    for i in range(n_paths):
+        draw = draw_shot_noise(substream(seed + 777777, i), T, sigma, gamma_cap)
+        direct[i] = f(layered_path_canonical(alpha, beta, sigma, draw, grid))
+
+    def mean_se(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(len(v)))
+
+    mean_w, se_w = mean_se(w_prime)
+    rw_est, rw_se = mean_se(w_prime * f_stable)
+    di_est, di_se = mean_se(direct)
+    return {
+        "alpha": alpha,
+        "beta": beta,
+        "paths": n_paths,
+        "mean_weight": mean_w,
+        "mean_weight_se": se_w,
+        "mean_weight_doubleprime": mean_se(w_dprime)[0],
+        "functional": functional,
+        "reweighted_estimate": rw_est,
+        "reweighted_se": rw_se,
+        "direct_estimate": di_est,
+        "direct_se": di_se,
+        "combined_se": float(np.hypot(rw_se, di_se)),
+        "clip_count": clip_count,
+        "normalization_ok": bool(abs(mean_w - 1.0) < 4.0 * se_w),
+        "agreement_ok": bool(abs(rw_est - di_est) < 4.0 * np.hypot(rw_se, di_se)),
+    }
 
 
 def u_levy_tail(alpha: float, beta: float, sigma_mass: float, y: float) -> float:

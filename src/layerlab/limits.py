@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from . import mc, stats
 from .qfunc import LayeredQ, derive_sigma_pair
-from .series import SamplePath
 from .spherical import SphericalMeasure
 
 SHORT_STABLE = "short"
@@ -147,21 +147,6 @@ def gaussian_covariance(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarray:
     return total
 
 
-def rescale_path(path: SamplePath, spec: LimitSpec) -> SamplePath:
-    """Map a path on [0, hT] to the rescaled path on [0, T]."""
-    h = spec.h
-    grid = path.grid / h
-    scale = h ** (-1.0 / spec.index)
-    values = scale * (path.values + np.outer(path.grid, spec.eta))
-    if spec.mode == SHORT_STABLE:
-        values = values - np.outer(grid, spec.b)
-    elif spec.mode == LONG_STABLE:
-        values = values + np.outer(grid, spec.b)
-    return SamplePath(grid=grid, values=values,
-                      jump_times=path.jump_times / h,
-                      jump_vectors=scale * path.jump_vectors)
-
-
 def rescale_terminal(x, hT: float, spec: LimitSpec) -> np.ndarray:
     """Rescale terminal values X_{hT} directly (vectorized over paths)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -173,3 +158,38 @@ def rescale_terminal(x, hT: float, spec: LimitSpec) -> np.ndarray:
     elif spec.mode == LONG_STABLE:
         out = out + t * spec.b
     return out
+
+
+def limit_target_and_samples(alpha: float, beta: float, sigma: SphericalMeasure,
+                             mode: str, h: float, n_paths: int, seed: int,
+                             gamma_cap: float = 1e4):
+    """Limit law, rescaled canonical layered terminals X_h, and the LimitSpec.
+
+    mode is "short" (inner alpha-stable limit) or "long" (outer beta-stable
+    limit for beta < 2, Brownian for beta > 2).  Symmetric measures use the
+    Gaussian-compensated sampler; asymmetric ones the centered series with
+    cap gamma_cap / min(h, 1).
+    """
+    m = sigma.total_mass()
+    q = LayeredQ.canonical(alpha, beta, m)
+    if mode == "short":
+        eta, b = short_time_constants(q, sigma)
+        spec = LimitSpec(SHORT_STABLE, h, alpha, eta, b)
+        target = stats.StableCF.series_marginal(alpha, sigma)
+    elif mode == "long":
+        eta, b = long_time_constants(q, sigma)        # rejects beta = 2
+        if beta < 2.0:
+            spec = LimitSpec(LONG_STABLE, h, beta, eta, b)
+            target = stats.StableCF.series_marginal(beta, sigma)
+        else:
+            spec = LimitSpec(LONG_GAUSSIAN, h, 2.0, eta, b)
+            target = stats.GaussianCF(gaussian_covariance(q, sigma))
+    else:
+        raise ValueError(f"mode must be short or long, got {mode!r}")
+    if sigma.is_symmetric():
+        x = mc.layered_terminals_gaussian(alpha, beta, sigma, h, mc.auto_r_cut(q, m, h),
+                                          n_paths, seed)
+    else:
+        x = mc.layered_terminals(alpha, beta, sigma, n_paths, seed, T=h,
+                                 gamma_cap=gamma_cap / min(h, 1.0))
+    return target, rescale_terminal(x, h, spec), spec

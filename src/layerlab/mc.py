@@ -22,8 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .qfunc import LayeredQ
-from .series import (MixDistribution, draw_shot_noise, layered_path_canonical,
-                     layered_path_rejection, make_grid, mixed_path, stable_path)
+from .series import (MixDistribution, canonical_magnitudes, draw_shot_noise,
+                     layered_path_canonical, layered_path_rejection, mixed_path,
+                     stable_path)
 from .spherical import SphericalMeasure
 
 
@@ -65,55 +66,50 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
 # -- terminal samplers via the truncated series -----------------------
 
 
-def stable_terminals(alpha: float, sigma: SphericalMeasure, n_paths: int,
-                     seed: int, T: float = 1.0, gamma_cap: float = 1e4,
-                     threads: int | None = None) -> np.ndarray:
+def _series_terminals(build, sigma: SphericalMeasure, n_paths: int, seed: int,
+                      T: float, gamma_cap: float, threads: int | None,
+                      **draw_options) -> np.ndarray:
+    # X_T of build(draw, grid) on each per-path substream
     grid = np.array([0.0, T])
 
     def one(ss, _i):
-        draw = draw_shot_noise(ss, T, sigma, gamma_cap)
-        return stable_path(alpha, sigma, draw, grid).terminal
+        draw = draw_shot_noise(ss, T, sigma, gamma_cap, **draw_options)
+        return build(draw, grid).terminal
 
     return run_paths(one, n_paths, seed, sigma.dimension, threads)
+
+
+def stable_terminals(alpha: float, sigma: SphericalMeasure, n_paths: int,
+                     seed: int, T: float = 1.0, gamma_cap: float = 1e4,
+                     threads: int | None = None) -> np.ndarray:
+    return _series_terminals(lambda draw, grid: stable_path(alpha, sigma, draw, grid),
+                             sigma, n_paths, seed, T, gamma_cap, threads)
 
 
 def layered_terminals(alpha: float, beta: float, sigma: SphericalMeasure,
                       n_paths: int, seed: int, T: float = 1.0,
                       gamma_cap: float = 1e4,
                       threads: int | None = None) -> np.ndarray:
-    grid = np.array([0.0, T])
-
-    def one(ss, _i):
-        draw = draw_shot_noise(ss, T, sigma, gamma_cap)
-        return layered_path_canonical(alpha, beta, sigma, draw, grid).terminal
-
-    return run_paths(one, n_paths, seed, sigma.dimension, threads)
+    return _series_terminals(
+        lambda draw, grid: layered_path_canonical(alpha, beta, sigma, draw, grid),
+        sigma, n_paths, seed, T, gamma_cap, threads)
 
 
 def rejection_terminals(alpha: float, beta: float, sigma: SphericalMeasure,
                         base: str, n_paths: int, seed: int, T: float = 1.0,
                         gamma_cap: float = 1e4,
                         threads: int | None = None) -> np.ndarray:
-    grid = np.array([0.0, T])
-
-    def one(ss, _i):
-        draw = draw_shot_noise(ss, T, sigma, gamma_cap, with_rejects=True)
-        return layered_path_rejection(alpha, beta, sigma, draw, base, grid).terminal
-
-    return run_paths(one, n_paths, seed, sigma.dimension, threads)
+    return _series_terminals(
+        lambda draw, grid: layered_path_rejection(alpha, beta, sigma, draw, base, grid),
+        sigma, n_paths, seed, T, gamma_cap, threads, with_rejects=True)
 
 
 def mixed_terminals(mix: MixDistribution, sigma: SphericalMeasure,
                     n_paths: int, seed: int, T: float = 1.0,
                     gamma_cap: float = 1e4,
                     threads: int | None = None) -> np.ndarray:
-    grid = np.array([0.0, T])
-
-    def one(ss, _i):
-        draw = draw_shot_noise(ss, T, sigma, gamma_cap, mix=mix)
-        return mixed_path(mix, sigma, draw, grid).terminal
-
-    return run_paths(one, n_paths, seed, sigma.dimension, threads)
+    return _series_terminals(lambda draw, grid: mixed_path(mix, sigma, draw, grid),
+                             sigma, n_paths, seed, T, gamma_cap, threads, mix=mix)
 
 
 # -- exact big-jump sampler -------------------------------------------
@@ -157,18 +153,9 @@ def _canonical_radial(q: LayeredQ, mass: float) -> _RadialLaw:
             return inner + np.log(c)
         return inner + (c ** (2.0 - b) - 1.0) / (2.0 - b)
 
-    def inverse(u):
-        # vectorized two-branch inverse of u -> mass * Q(r)
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        big = u <= mass / b
-        out[big] = (b * u[big] / mass) ** (-1.0 / b)
-        out[~big] = (a * u[~big] / mass + 1.0 - a / b) ** (-1.0 / a)
-        return out
-
     return _RadialLaw(
         tail=lambda r: q.tail_integral(r),
-        inverse=inverse,
+        inverse=lambda u: canonical_magnitudes(a, b, u, mass, 1.0),
         small_var=small_var,
     )
 

@@ -163,16 +163,22 @@ def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
     return grid
 
 
-def _assemble(grid, times, vectors, drift_per_t) -> SamplePath:
+def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SamplePath:
     # evaluate the truncated series on the grid: jumps are accumulated in
     # increasing T_i (fixed summation order), drift is linear in t
-    d = vectors.shape[1] if len(vectors) else drift_per_t.shape[0]
+    grid = _check_grid(grid, draw.T)
+    above_floor = mags >= _MAG_FLOOR
+    keep = above_floor if keep is None else keep & above_floor
+    vectors = mags[keep, None] * draw.directions[keep]
+    d = draw.directions.shape[1]
+    drift = np.zeros(d) if drift is None else drift
+    times = draw.times[keep]
     order = np.argsort(times, kind="stable")
     st = times[order]
     sv = vectors[order]
     csum = np.vstack([np.zeros((1, d)), np.cumsum(sv, axis=0)])
     idx = np.searchsorted(st, grid, side="right")
-    values = csum[idx] + np.outer(grid, drift_per_t)
+    values = csum[idx] + np.outer(grid, drift)
     return SamplePath(grid=grid, values=values, jump_times=st, jump_vectors=sv)
 
 
@@ -191,20 +197,17 @@ def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
     """Truncated shot-noise series of an alpha-stable path on [0, T]."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"stable index must lie in (0,2), got {alpha}")
-    grid = _check_grid(grid, draw.T)
     m = sigma.total_mass()
     mT = m * draw.T
     mags = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
-    keep = mags >= _MAG_FLOOR
-    vectors = mags[keep, None] * draw.directions[keep]
-    drift = np.zeros(sigma.dimension)
+    drift = None
     if alpha >= 1.0:
         z0 = sigma.mean_direction()
         if np.any(z0 != 0.0):
             n = draw.cutoff_index
             comp = np.sum((alpha * np.arange(1, n + 1) / mT) ** (-1.0 / alpha))
             drift = (stable_drift_constant(alpha, m, draw.T) - comp) * z0 / draw.T
-    return _assemble(grid, draw.times[keep], vectors, drift)
+    return _assemble(grid, draw, mags, drift)
 
 
 def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
@@ -216,29 +219,6 @@ def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
     out[big] = (beta * gammas[big] / mT) ** (-1.0 / beta)
     out[~big] = (alpha * gammas[~big] / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
     return out
-
-
-def canonical_centering_b(i: int, beta: float, sigma_mass: float, T: float) -> float:
-    """The mean of the i-th beta-branch magnitude (a reference constant).
-
-    This is the expected contribution of the i-th arrival restricted to the
-    large-jump branch.  It is exposed as a diagnostic; the path generators
-    center on the small-jump branch instead (canonical_centering_sum), which
-    is the convention under which the compensated series converges to the
-    layered law with zero shift.  For beta = 1 the formula has a removable
-    singularity handled by a log ratio; b_1 diverges for beta <= 1.
-    """
-    mT = sigma_mass * T
-    hi = min(float(i), mT / beta)
-    lo = min(float(i - 1), mT / beta)
-    if beta == 1.0:
-        if lo == 0.0:
-            raise ValueError("centering b_1 diverges at beta = 1")
-        return mT * np.log(hi / lo)
-    e = 1.0 - 1.0 / beta
-    if beta < 1.0 and lo == 0.0:
-        raise ValueError("centering b_1 diverges for beta < 1")
-    return (beta / mT) ** (-1.0 / beta) * (hi ** e - lo ** e) / e
 
 
 def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
@@ -258,25 +238,6 @@ def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
         return mT * np.log(w_n)
     e = 1.0 - 1.0 / alpha
     return (mT / alpha) * (w_n ** e - 1.0) / e
-
-
-def layered_path_canonical(alpha: float, beta: float, sigma: SphericalMeasure,
-                           draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path of the canonical two-layer process."""
-    if not 0.0 < alpha < 2.0 or beta <= 0.0:
-        raise ValueError("need alpha in (0,2) and beta > 0")
-    grid = _check_grid(grid, draw.T)
-    m = sigma.total_mass()
-    mags = canonical_magnitudes(alpha, beta, draw.gammas, m, draw.T)
-    keep = mags >= _MAG_FLOOR
-    vectors = mags[keep, None] * draw.directions[keep]
-    drift = np.zeros(sigma.dimension)
-    z0 = sigma.mean_direction()
-    if np.any(np.abs(z0) > 1e-15):
-        b_sum = canonical_centering_sum(alpha, beta, m, draw.T,
-                                        float(draw.cutoff_index))
-        drift = -b_sum * z0 / draw.T
-    return _assemble(grid, draw.times[keep], vectors, drift)
 
 
 def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
@@ -299,23 +260,38 @@ def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
     return total
 
 
-def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
-                         draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path for a general layered q (canonical or custom)."""
-    grid = _check_grid(grid, draw.T)
+def _layered_path(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw,
+                  grid) -> SamplePath:
+    # canonical q: closed-form magnitudes and centering; custom q: per-jump
+    # inverse tail and quadrature centering
     m = sigma.total_mass()
+    drift = None
     if q.is_canonical:
         mags = canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)
+        z0 = sigma.mean_direction()
+        if np.any(np.abs(z0) > 1e-15):
+            b_sum = canonical_centering_sum(q.alpha, q.beta, m, draw.T,
+                                            float(draw.cutoff_index))
+            drift = -b_sum * z0 / draw.T
     else:
         mags = np.array([q.series_magnitude(g / draw.T, m, v)
                          for g, v in zip(draw.gammas, draw.directions)])
-    keep = mags >= _MAG_FLOOR
-    vectors = mags[keep, None] * draw.directions[keep]
-    drift = np.zeros(sigma.dimension)
-    if not sigma.is_symmetric():
-        b_sum = _general_centering_sum(q, sigma, draw.cutoff_index, draw.T)
-        drift = -b_sum / draw.T
-    return _assemble(grid, draw.times[keep], vectors, drift)
+        if not sigma.is_symmetric():
+            drift = -_general_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T
+    return _assemble(grid, draw, mags, drift)
+
+
+def layered_path_canonical(alpha: float, beta: float, sigma: SphericalMeasure,
+                           draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path of the canonical two-layer process."""
+    return _layered_path(LayeredQ.canonical(alpha, beta, sigma.total_mass()),
+                         sigma, draw, grid)
+
+
+def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
+                         draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path for a general layered q (canonical or custom)."""
+    return _layered_path(q, sigma, draw, grid)
 
 
 def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
@@ -327,7 +303,6 @@ def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
         raise ValueError("draw carries no rejection uniforms")
     if not sigma.is_symmetric():
         raise ValueError("rejection construction implemented for symmetric measures only")
-    grid = _check_grid(grid, draw.T)
     mT = sigma.total_mass() * draw.T
     if base == "inner":
         cand = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
@@ -339,9 +314,7 @@ def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
         ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
     else:
         raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
-    keep = (draw.rejects <= ratio) & (cand >= _MAG_FLOOR)
-    vectors = cand[keep, None] * draw.directions[keep]
-    return _assemble(grid, draw.times[keep], vectors, np.zeros(sigma.dimension))
+    return _assemble(grid, draw, cand, keep=draw.rejects <= ratio)
 
 
 def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
@@ -351,13 +324,10 @@ def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
         raise ValueError("draw carries no mixing indices")
     if not sigma.is_symmetric():
         raise ValueError("mixed stable series requires a symmetric measure")
-    grid = _check_grid(grid, draw.T)
     mT = sigma.total_mass() * draw.T
     a = draw.alphas
     mags = (a * draw.gammas / mT) ** (-1.0 / a)
-    keep = mags >= _MAG_FLOOR
-    vectors = mags[keep, None] * draw.directions[keep]
-    return _assemble(grid, draw.times[keep], vectors, np.zeros(sigma.dimension))
+    return _assemble(grid, draw, mags)
 
 
 def truncation_bound(q: LayeredQ, sigma: SphericalMeasure, gamma_cap: float) -> float:

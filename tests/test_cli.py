@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_rejection,
+                      make_grid, substream)
 from layerlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           entrypoint)
 
@@ -61,6 +64,38 @@ def test_simulate_coupled_companions(tmp_path):
     assert str(out) + "_stable_a1.3.csv" in manifest["files"]
     for name in manifest["files"]:
         assert (tmp_path / name.split("/")[-1]).exists()
+
+
+def test_simulate_mixed(tmp_path):
+    out = tmp_path / "mixed"
+    assert run("simulate", "--process", "mixed", "--alpha", "1.0",
+               "--mix", "0.8:0.5,1.5:0.5", "--grid-n", "20", "--paths", "2",
+               "--gamma-cap", "200", "--seed", "3", "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "mixed.manifest.json").read_text())
+    assert manifest["config"]["mix"] == "0.8:0.5,1.5:0.5"
+    assert manifest["files"] == [str(out) + "_p0000.csv", str(out) + "_p0001.csv"]
+    for name in manifest["files"]:
+        assert len(np.loadtxt(name, delimiter=",", skiprows=1)) == 21
+    assert run("simulate", "--process", "mixed", "--alpha", "1.0",
+               "--out", str(tmp_path / "nomix")) == EXIT_CONFIG
+
+
+def test_simulate_outer_base(tmp_path):
+    out = tmp_path / "outer"
+    assert run("simulate", "--process", "layered-rejection", "--alpha", "1.3",
+               "--beta", "1.9", "--base", "outer", "--grid-n", "40",
+               "--gamma-cap", "300", "--seed", "8", "--out", str(out)) == EXIT_OK
+    got = np.loadtxt(tmp_path / "outer.csv", delimiter=",", skiprows=1)
+    sigma = SphericalMeasure.symmetric_pair(2.0)
+    draw = draw_shot_noise(substream(8, 0), 1.0, sigma, 300.0, with_rejects=True)
+    ref = layered_path_rejection(1.3, 1.9, sigma, draw, "outer", make_grid(1.0, 40))
+    np.testing.assert_array_equal(got[:, 1:], ref.values)
+
+
+def test_simulate_zero_paths_rejected(tmp_path):
+    assert run("simulate", "--process", "stable", "--alpha", "1.3",
+               "--paths", "0", "--out", str(tmp_path / "none")) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_rejected(tmp_path):

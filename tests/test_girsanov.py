@@ -6,11 +6,11 @@ import pytest
 from scipy import stats as sps
 
 from layerlab import (DensityRatio, LayeredQ, SphericalMeasure,
-                      WeightedPathSample, draw_shot_noise,
-                      drift_compatibility, layered_path_canonical, make_grid,
-                      nu_gap, required_drift_difference,
-                      reweighted_expectation, singularity_witness,
-                      u_canonical, u_from_jumps, u_levy_tail, u_series)
+                      draw_shot_noise, drift_compatibility,
+                      layered_path_canonical, make_grid, nu_gap,
+                      required_drift_difference, rn_diagnostics,
+                      singularity_witness, u_canonical, u_from_jumps,
+                      u_levy_tail, u_series)
 
 
 @pytest.fixture
@@ -146,28 +146,18 @@ def test_singularity_witness_directions():
     assert up["psi"][-1] > up["psi"][0]
 
 
-def test_reweighted_expectation(sym1):
-    grid = make_grid(1.0, 2)
-    draw = draw_shot_noise(0, 1.0, sym1, 100.0)
-    path = layered_path_canonical(1.3, 1.9, sym1, draw, grid)
-    samples = [WeightedPathSample(path, 0.0, "P") for _ in range(4)]
-    est, se, clipped = reweighted_expectation(samples, lambda p: 2.0)
-    assert est == 2.0 and se == 0.0 and clipped == 0
+def test_rn_diagnostics_constant_functional(sym1):
+    # with f = 1 the reweighted estimate is the mean weight and the direct
+    # estimate is exactly 1
+    rep = rn_diagnostics(1.3, 1.9, sym1, "one", 40, seed=3, grid_n=4,
+                         gamma_cap=200.0)
+    assert rep["reweighted_estimate"] == rep["mean_weight"]
+    assert rep["direct_estimate"] == 1.0 and rep["direct_se"] == 0.0
+    assert rep["clip_count"] == 0 and rep["normalization_ok"]
     with pytest.raises(ValueError):
-        reweighted_expectation([], lambda p: 1.0)
-    mixed = samples + [WeightedPathSample(path, 0.0, "Q")]
+        rn_diagnostics(1.3, 1.9, sym1, "bogus:1", 4, seed=3)
     with pytest.raises(ValueError):
-        reweighted_expectation(mixed, lambda p: 1.0)
-
-
-def test_weighted_sample_validation(sym1):
-    grid = make_grid(1.0, 2)
-    draw = draw_shot_noise(0, 1.0, sym1, 50.0)
-    path = layered_path_canonical(1.3, 1.9, sym1, draw, grid)
-    with pytest.raises(ValueError):
-        WeightedPathSample(path, np.inf, "P")
-    with pytest.raises(ValueError):
-        WeightedPathSample(path, 0.0, "R")
+        rn_diagnostics(1.5, 1.5, sym1, "one", 4, seed=3)
 
 
 def test_rn_weights_normalize(sym1):

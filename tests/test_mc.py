@@ -8,9 +8,12 @@ series sampler where both apply.
 import numpy as np
 import pytest
 
-from layerlab import (LayeredQ, LayeredQuadratureCF, SphericalMeasure,
-                      StableCF, cf_distance, layered_terminals,
-                      layered_terminals_gaussian, run_paths,
+from layerlab import (LayeredQ, LayeredQuadratureCF, MixDistribution,
+                      SphericalMeasure, StableCF, cf_distance,
+                      draw_shot_noise, layered_path_canonical,
+                      layered_path_rejection, layered_terminals,
+                      layered_terminals_gaussian, mixed_path, mixed_terminals,
+                      rejection_terminals, run_paths, stable_path,
                       stable_terminals, stable_terminals_gaussian, substream,
                       worker_count)
 
@@ -45,6 +48,41 @@ def test_stable_terminals_deterministic(sym1):
     b = stable_terminals(1.3, sym1, 16, seed=9, gamma_cap=200.0)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (16, 1)
+
+
+MIX = MixDistribution.uniform_on([0.8, 1.5])
+
+
+def _series_sampler(name, sigma, threads):
+    """(terminals of 12 paths, the matching path builder, its draw options)."""
+    kw = {"T": 2.0, "gamma_cap": 300.0, "threads": threads}
+    if name == "stable":
+        return (stable_terminals(1.5, sigma, 12, 21, **kw),
+                lambda d, g: stable_path(1.5, sigma, d, g), {})
+    if name == "layered":
+        return (layered_terminals(1.3, 1.9, sigma, 12, 21, **kw),
+                lambda d, g: layered_path_canonical(1.3, 1.9, sigma, d, g), {})
+    if name == "rejection":
+        return (rejection_terminals(1.3, 1.9, sigma, "outer", 12, 21, **kw),
+                lambda d, g: layered_path_rejection(1.3, 1.9, sigma, d, "outer", g),
+                {"with_rejects": True})
+    return (mixed_terminals(MIX, sigma, 12, 21, **kw),
+            lambda d, g: mixed_path(MIX, sigma, d, g), {"mix": MIX})
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,skewed", [("stable", False), ("stable", True),
+                                         ("layered", False), ("layered", True),
+                                         ("rejection", False), ("mixed", False)])
+def test_series_terminals_match_path_builders(name, skewed, threads, sym1, skew1):
+    # each terminal sampler returns, bit for bit, the terminal value of its
+    # path builder on the same per-path substream
+    sigma = skew1 if skewed else sym1
+    x, build, options = _series_sampler(name, sigma, threads)
+    grid = np.array([0.0, 2.0])
+    ref = np.array([build(draw_shot_noise(substream(21, i), 2.0, sigma, 300.0, **options),
+                          grid).terminal for i in range(12)])
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_stable_samplers_agree_in_law(sym1):

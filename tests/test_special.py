@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from layerlab._special import (EULER_GAMMA, gamma_fn, isotropic_cf_constant,
+from layerlab._special import (EULER_GAMMA, isotropic_cf_constant,
                                stable_cf_constant, zeta)
 
 
@@ -32,11 +32,6 @@ def test_stable_cf_constant(a):
 
 def test_stable_cf_constant_alpha_one():
     assert abs(stable_cf_constant(1.0) - np.pi / 2.0) < 1e-15
-
-
-def test_gamma_fn():
-    assert abs(gamma_fn(0.5) - np.sqrt(np.pi)) < 1e-14
-    assert abs(gamma_fn(5.0) - 24.0) < 1e-10
 
 
 def test_isotropic_constant_formula():
