@@ -168,10 +168,14 @@ def cmd_simulate(args) -> int:
     gamma_cap = float(cfg["gamma_cap"])
     grid = make_grid(T, int(cfg["grid_n"]))
     mix = _parse_mix(cfg["mix"]) if process == "mixed" else None
+    fmt = cfg["format"]
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     coupled = _parse_coupled(args.coupled) if getattr(args, "coupled", None) else []
 
     out = args.out or "layerlab_run"
-    stem = out[:-4] if out.endswith(".csv") else out
+    suffix = "." + fmt
+    stem = out[:-len(suffix)] if out.endswith(suffix) else out
     started = time.time()
     files = []
     for p in range(n_paths):
@@ -189,8 +193,12 @@ def cmd_simulate(args) -> int:
                 name += f"_{label}"
             if n_paths > 1:
                 name += f"_p{p:04d}"
-            name += ".csv"
-            write_csv(name, path.grid, path.values)
+            name += suffix
+            if fmt == "json":
+                write_json(name, {"grid": path.grid.tolist(),
+                                  "values": path.values.tolist()})
+            else:
+                write_csv(name, path.grid, path.values)
             files.append(name)
 
     if process == "stable":
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-cap", dest="gamma_cap", type=float)
         p.add_argument("--out")
 
-    p = sub.add_parser("simulate", help="simulate sample paths to CSV")
+    p = sub.add_parser("simulate", help="simulate sample paths to CSV or JSON")
     common(p)
     p.add_argument("--process", choices=PROCESSES)
     p.add_argument("--format", choices=("csv", "json"))

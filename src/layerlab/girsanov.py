@@ -221,6 +221,8 @@ def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,
     """
     if alpha == beta:
         raise ValueError("alpha = beta is a degenerate change of measure")
+    if n_paths < 2:
+        raise ValueError(f"standard errors need at least two paths, got {n_paths}")
     f = _path_functional(functional)
     grid = make_grid(T, grid_n)
     m = sigma.total_mass()

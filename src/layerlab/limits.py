@@ -170,6 +170,8 @@ def limit_target_and_samples(alpha: float, beta: float, sigma: SphericalMeasure,
     Gaussian-compensated sampler; asymmetric ones the centered series with
     cap gamma_cap / min(h, 1).
     """
+    if n_paths < 1:
+        raise ValueError(f"a limit check needs at least one path, got {n_paths}")
     m = sigma.total_mass()
     q = LayeredQ.canonical(alpha, beta, m)
     if mode == "short":

@@ -49,6 +49,8 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
     """Evaluate fn on per-path substreams; results indexed by path number."""
     out = np.empty((n_paths, d))
     threads = worker_count() if threads is None else threads
+    # results do not depend on the thread count, so capping it changes nothing
+    threads = min(threads, os.cpu_count() or 1)
 
     def work(block):
         for i in block:

@@ -5,6 +5,11 @@ by sharing the same Poisson arrivals {Gamma_i}, jump times {T_i} and
 directions {V_i}; only the magnitude map differs.  The series is truncated at
 the first arrival beyond gamma_cap * T, which bounds the largest discarded
 jump by the inverse tail evaluated at gamma_cap.
+
+Every builder hands its magnitudes to one assembly routine.  It never sorts
+the jump times: each jump goes into the grid cell that first sees it, the
+cells are summed in arrival order, and the path is the running sum of the
+cells plus the drift.
 """
 
 from __future__ import annotations
@@ -93,7 +98,11 @@ class MixDistribution:
 
 @dataclass
 class SamplePath:
-    """A path on a grid over [0, T] with its retained jump list."""
+    """A path on a grid over [0, T] with its retained jump list.
+
+    The jump list holds the kept jumps in arrival order (increasing Gamma_i),
+    not in time order.
+    """
 
     grid: np.ndarray
     values: np.ndarray                # (len(grid), d)
@@ -164,8 +173,10 @@ def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
 
 
 def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SamplePath:
-    # evaluate the truncated series on the grid: jumps are accumulated in
-    # increasing T_i (fixed summation order), drift is linear in t
+    # evaluate the truncated series on the grid without sorting the jumps:
+    # each kept jump is binned into the first grid cell j with grid[j] >= T_i
+    # (summed in arrival order), the cell sums are accumulated along the grid,
+    # and the drift is linear in t; jumps after grid[-1] land in a dropped bin
     grid = _check_grid(grid, draw.T)
     above_floor = mags >= _MAG_FLOOR
     keep = above_floor if keep is None else keep & above_floor
@@ -173,13 +184,13 @@ def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SampleP
     d = draw.directions.shape[1]
     drift = np.zeros(d) if drift is None else drift
     times = draw.times[keep]
-    order = np.argsort(times, kind="stable")
-    st = times[order]
-    sv = vectors[order]
-    csum = np.vstack([np.zeros((1, d)), np.cumsum(sv, axis=0)])
-    idx = np.searchsorted(st, grid, side="right")
-    values = csum[idx] + np.outer(grid, drift)
-    return SamplePath(grid=grid, values=values, jump_times=st, jump_vectors=sv)
+    n = len(grid)
+    cell = np.searchsorted(grid, times, side="left")
+    sums = np.empty((n, d))
+    for k in range(d):
+        sums[:, k] = np.bincount(cell, weights=vectors[:, k], minlength=n + 1)[:n]
+    values = np.cumsum(sums, axis=0) + np.outer(grid, drift)
+    return SamplePath(grid=grid, values=values, jump_times=times, jump_vectors=vectors)
 
 
 def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:

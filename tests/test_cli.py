@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_rejection,
-                      make_grid, substream)
+from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_canonical,
+                      layered_path_rejection, make_grid, substream)
 from layerlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           entrypoint)
 
@@ -98,6 +98,31 @@ def test_simulate_zero_paths_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_json_format(tmp_path):
+    out = tmp_path / "js"
+    assert run("simulate", "--process", "layered", "--alpha", "1.3",
+               "--beta", "1.9", "--format", "json", "--paths", "2",
+               "--grid-n", "30", "--gamma-cap", "300", "--seed", "6",
+               "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "js.manifest.json").read_text())
+    assert manifest["files"] == [str(out) + "_p0000.json", str(out) + "_p0001.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "js.manifest.json", "js_p0000.json", "js_p0001.json"]
+    first = json.loads((tmp_path / "js_p0000.json").read_text())
+    sigma = SphericalMeasure.symmetric_pair(2.0)
+    grid = make_grid(1.0, 30)
+    ref = layered_path_canonical(1.3, 1.9, sigma,
+                                 draw_shot_noise(substream(6, 0), 1.0, sigma, 300.0),
+                                 grid)
+    assert first["grid"] == grid.tolist()
+    assert first["values"] == ref.values.tolist()
+    cfg = tmp_path / "bad_format.cfg"
+    cfg.write_text("alpha = 1.3\nbeta = 1.9\nformat = xml\n")
+    assert run("simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "xml")) == EXIT_CONFIG
+    assert not list(tmp_path.glob("xml.*"))
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha = 1.3\nbeta = 1.9\nbogus_key = 7\n")
@@ -145,6 +170,21 @@ def test_limit_check_short(tmp_path):
     report = json.loads(out.read_text())
     assert report["pass"] and code == EXIT_OK
     assert report["index"] == 0.7
+
+
+def test_limit_check_zero_paths_rejected(tmp_path):
+    out = tmp_path / "limit.json"
+    assert run("limit-check", "--mode", "short", "--h", "1e-3",
+               "--alpha", "0.7", "--beta", "1.6", "--paths", "0",
+               "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_rn_one_path_rejected(tmp_path):
+    out = tmp_path / "rn.json"
+    assert run("rn", "--alpha", "1.3", "--beta", "1.9", "--paths", "1",
+               "--grid-n", "10", "--gamma-cap", "100", "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_limit_check_beta_two_rejected():

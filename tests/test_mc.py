@@ -8,6 +8,7 @@ series sampler where both apply.
 import numpy as np
 import pytest
 
+import layerlab.mc as mc
 from layerlab import (LayeredQ, LayeredQuadratureCF, MixDistribution,
                       SphericalMeasure, StableCF, cf_distance,
                       draw_shot_noise, layered_path_canonical,
@@ -33,6 +34,38 @@ def test_run_paths_thread_count_invariance():
     r1 = run_paths(one, 64, seed=5, d=2, threads=1)
     r4 = run_paths(one, 64, seed=5, d=2, threads=4)
     np.testing.assert_array_equal(r1, r4)
+
+
+def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
+    # an unbounded thread request is capped at the CPU count before any
+    # executor exists; the stub records max_workers and runs inline
+    seen = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+
+    def one(ss, i):
+        return np.random.default_rng(ss).random(2)
+
+    out = run_paths(one, 40, seed=5, d=2, threads=10 ** 6)
+    assert seen == [3]
+    np.testing.assert_array_equal(out, run_paths(one, 40, seed=5, d=2, threads=1))
+    monkeypatch.setenv("LAYERLAB_THREADS", str(10 ** 6))
+    run_paths(one, 40, seed=5, d=2)
+    assert seen == [3, 3]
 
 
 def test_worker_count_env(monkeypatch):

@@ -13,7 +13,7 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       layered_path_rejection, make_grid, mixed_path,
                       stable_drift_constant, stable_path,
                       stable_truncation_bound, truncation_bound)
-from layerlab.series import _general_centering_sum
+from layerlab.series import _MAG_FLOOR, _assemble, _general_centering_sum
 
 
 def _single_term_draw(gamma=1.0, T=1.0, time=0.4, direction=(1.0,)):
@@ -63,6 +63,40 @@ def test_stable_single_term_magnitude(sym1):
     # path starts at 0 and jumps exactly at T_1 = 0.4
     np.testing.assert_allclose(path.values[grid_idx := 3], [0.0])
     np.testing.assert_allclose(path.values[grid_idx + 1], [16.0])
+
+
+def test_assemble_bins_jumps_on_grid():
+    # d=2, a non-uniform grid that stops before T, jumps on grid points and
+    # after grid[-1], a keep mask, one magnitude below the floor, and a drift
+    times = np.array([0.5, 1.7, 0.1, 1.2, 0.0, 0.9, 0.3, 1.45])
+    n = len(times)
+    ang = np.linspace(0.3, 5.9, n)
+    draw = ShotNoiseDraw(T=2.0, gammas=np.arange(1.0, n + 1.0), times=times,
+                         directions=np.column_stack([np.cos(ang), np.sin(ang)]))
+    mags = np.array([3.0, 2.5, 2.0, 1.5, 1.25, 1.0, 0.5 * _MAG_FLOOR, 0.75])
+    keep = np.array([True, True, True, True, True, False, True, True])
+    drift = np.array([0.25, -0.5])
+    grid = np.array([0.0, 0.3, 0.5, 1.2, 1.5])
+    path = _assemble(grid, draw, mags, drift, keep)
+
+    kept = keep & (mags >= _MAG_FLOOR)
+    vectors = mags[:, None] * draw.directions
+    ref = np.array([vectors[kept & (times <= t)].sum(axis=0) + t * drift
+                    for t in grid])
+    np.testing.assert_allclose(path.values, ref, rtol=1e-12, atol=0.0)
+    # the jump list holds the kept jumps in arrival order
+    np.testing.assert_array_equal(path.jump_times, times[kept])
+    np.testing.assert_array_equal(path.jump_vectors, vectors[kept])
+
+
+def test_assemble_empty_draw():
+    draw = ShotNoiseDraw(T=1.0, gammas=np.empty(0), times=np.empty(0),
+                         directions=np.empty((0, 2)))
+    grid = np.array([0.0, 0.25, 1.0])
+    drift = np.array([1.5, -2.0])
+    path = _assemble(grid, draw, np.empty(0), drift)
+    np.testing.assert_array_equal(path.values, np.outer(grid, drift))
+    assert path.jump_times.shape == (0,) and path.jump_vectors.shape == (0, 2)
 
 
 def test_stable_drift_constant_cases():
