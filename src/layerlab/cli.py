@@ -1,7 +1,8 @@
 """Command-line surface: simulate paths, check scaling limits, run
 Radon-Nikodym diagnostics, estimate tail indices, and self-test.
 
-Exit codes: 0 success, 1 failed check, 2 configuration error, 3 IO error.
+Exit codes: 0 success, 1 failed check, 2 configuration or numerical error
+(a quadrature that does not converge), 3 IO error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import girsanov, limits, mc, series, stats
 from ._special import zeta
-from .qfunc import LayeredQ
+from .qfunc import LayeredQ, QuadratureError
 from .series import draw_shot_noise, make_grid
 from .spherical import SphericalMeasure, parse_spherical_spec
 
@@ -88,6 +89,14 @@ def _parse_mix(text: str) -> series.MixDistribution:
 
 PROCESSES = ("stable", "layered", "layered-rejection", "mixed")
 
+# the settings each process cannot run without
+_REQUIRED = {
+    "stable": ("alpha",),
+    "layered": ("alpha", "beta"),
+    "layered-rejection": ("alpha", "beta"),
+    "mixed": ("alpha", "mix"),
+}
+
 _DEFAULTS = {
     "process": "layered",
     "alpha": None,
@@ -115,6 +124,13 @@ def _merge_config(args, keys) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
+
+
+def _require(cfg, process) -> None:
+    """Reject a config that leaves a setting the process needs unset."""
+    missing = [k for k in _REQUIRED[process] if cfg.get(k) is None]
+    if missing:
+        raise ConfigError(f"the {process} process requires {' and '.join(missing)}")
 
 
 def _simulate_one(process, cfg, sigma, draw, grid, mix):
@@ -153,12 +169,7 @@ def cmd_simulate(args) -> int:
     process = cfg["process"]
     if process not in PROCESSES:
         raise ConfigError(f"process must be one of {PROCESSES}")
-    if cfg.get("alpha") is None:
-        raise ConfigError("alpha is required")
-    if process in ("layered", "layered-rejection") and cfg.get("beta") is None:
-        raise ConfigError("beta is required for layered processes")
-    if process == "mixed" and cfg.get("mix") is None:
-        raise ConfigError("mix is required for the mixed process")
+    _require(cfg, process)
     sigma = parse_spherical_spec(cfg["sigma"])
     T = float(cfg["T"])
     n_paths = int(cfg["paths"])
@@ -225,8 +236,7 @@ def cmd_simulate(args) -> int:
 def cmd_limit_check(args) -> int:
     cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed",
                                "gamma_cap"))
-    if cfg.get("alpha") is None or cfg.get("beta") is None:
-        raise ConfigError("alpha and beta are required")
+    _require(cfg, "layered")
     h = float(args.h)
     n_paths = int(cfg["paths"])
     threshold = float(args.threshold)
@@ -252,6 +262,7 @@ def cmd_limit_check(args) -> int:
 def cmd_rn(args) -> int:
     cfg = _merge_config(args, ("alpha", "beta", "sigma", "T", "grid_n",
                                "paths", "seed", "gamma_cap"))
+    _require(cfg, "layered")
     report = girsanov.rn_diagnostics(
         float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
         args.functional, int(cfg["paths"]), int(cfg["seed"]), T=float(cfg["T"]),
@@ -264,6 +275,9 @@ def cmd_rn(args) -> int:
 def cmd_tail(args) -> int:
     cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "paths",
                                "seed", "gamma_cap"))
+    if cfg["process"] not in ("stable", "layered"):
+        raise ConfigError("tail process must be stable or layered")
+    _require(cfg, cfg["process"])
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
@@ -445,6 +459,9 @@ def entrypoint(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except QuadratureError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

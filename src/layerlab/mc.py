@@ -47,8 +47,10 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
               n_paths: int, seed: int, d: int,
               threads: int | None = None) -> np.ndarray:
     """Evaluate fn on per-path substreams; results indexed by path number."""
-    out = np.empty((n_paths, d))
     threads = worker_count() if threads is None else threads
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    out = np.empty((n_paths, d))
     # results do not depend on the thread count, so capping it changes nothing
     threads = min(threads, os.cpu_count() or 1)
 

@@ -10,12 +10,22 @@ is taken with respect to the *mass-scaled* tail  u -> sigma_mass * Q(r),
 which is the mapping the shot-noise series inverts: with sigma_mass equal to
 the total mass of the accompanying spherical measure, the expected number of
 jumps of size > r on [0, T] is T * sigma_mass * Q(r).
+
+The canonical inverse is closed-form.  A custom q is inverted through a
+table built lazily once per direction xi: Q at log-spaced radii over
+[1e-8, 1e8] (a node sits at r = 1, where tail_integral splits), summed
+downward from one tail_integral anchor at the top node over Gauss-Legendre
+cell integrals in log r.  np.interp in log-log on the table gives the first
+guess, and a safeguarded Newton step in log r, with Q(r) = Q(next node) +
+the cell integral up to that node, polishes it until |Q - u| <= 1e-13 u.
+Levels outside the table, cells whose quadrature fails its check and entries
+that do not converge fall back to a Brent search over tail_integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -26,6 +36,24 @@ class QuadratureError(RuntimeError):
 
 
 _ASYMPTOTIC_TOL = 0.05
+
+# custom-q inverse table: 8 nodes per decade of r over [1e-8, 1e8]; the log
+# grid holds 0.0 exactly, so r = 1 is a node
+_LOG_R_NODES = np.log(10.0) * np.arange(-64, 65) / 8.0
+_GAUSS_HIGH = np.polynomial.legendre.leggauss(12)
+_GAUSS_LOW = np.polynomial.legendre.leggauss(8)
+_CELL_RTOL = 1e-13        # high vs low rule on a cell; beyond it, tail_integral
+_NEWTON_RTOL = 1e-13      # |Q(r) - u| <= _NEWTON_RTOL * u ends the polish
+_NEWTON_STEPS = 8
+
+
+class _TailTable(NamedTuple):
+    """Q of one direction at the nodes, stored for an increasing level."""
+
+    log_r: np.ndarray         # node log radii, decreasing
+    level: np.ndarray         # Q at those nodes, increasing
+    log_level: np.ndarray
+    cell_ok: np.ndarray       # cell between nodes i-1 and i passed its check
 
 
 @dataclass(frozen=True)
@@ -38,6 +66,8 @@ class LayeredQ:
     q_fn: Callable | None = None                 # custom variant: q(r, xi)
     c1_fn: Callable | None = None                # xi -> limit density at 0
     c2_fn: Callable | None = None                # xi -> limit density at oo
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)         # custom variant: xi -> _TailTable
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -156,8 +186,22 @@ class LayeredQ:
             raise QuadratureError(f"tail integral did not converge on [{big},oo)")
         return total + val
 
-    def inverse_tail(self, u: float, xi=None) -> float:
-        """Generalized inverse of r -> tail_scale * Q(r, xi) at level u."""
+    def inverse_tail(self, u, xi=None):
+        """Generalized inverse of r -> tail_scale * Q(r, xi) at level u.
+
+        u may be a scalar or a 1-d array; the result has the same shape.  The
+        canonical variant is closed-form.  A custom q is inverted on its
+        table for xi (built on first use, then cached per xi) with a Newton
+        polish to |Q - u| <= 1e-13 u; levels outside the table and entries
+        the polish does not settle use the Brent search over tail_integral.
+        """
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)
+            if np.any(u <= 0.0):
+                raise ValueError("inverse tail needs u > 0")
+            if self.is_canonical:
+                return np.array([self.inverse_tail(x) for x in u.tolist()])
+            return self._table_inverse(u, xi)
         if u <= 0.0:
             raise ValueError(f"inverse tail needs u > 0, got {u}")
         a, b = self.alpha, self.beta
@@ -166,7 +210,86 @@ class LayeredQ:
             if u <= m / b:
                 return (b * u / m) ** (-1.0 / b)
             return (a * u / m + 1.0 - a / b) ** (-1.0 / a)
-        return self._bisect_inverse(u, xi)
+        return float(self._table_inverse(np.array([u], dtype=float), xi)[0])
+
+    def _table_inverse(self, u: np.ndarray, xi) -> np.ndarray:
+        tab = self._table(xi)
+        n_cells = len(tab.level) - 1
+        # level[j-1] < u <= level[j]: the root lies in the cell whose nodes
+        # are j (smaller r) and j-1 (larger r)
+        j = np.searchsorted(tab.level, u, side="left")
+        inside = (j >= 1) & (j <= n_cells)
+        inside[inside] = tab.cell_ok[j[inside]]
+        out = np.full(u.shape, np.nan)
+        idx = np.flatnonzero(inside)
+        j, uu = j[idx], u[idx]
+        lo, hi = tab.log_r[j], tab.log_r[j - 1]
+        top, q_top = hi, tab.level[j - 1]
+        g = np.clip(np.interp(np.log(uu), tab.log_level, tab.log_r), lo, hi)
+        for _ in range(_NEWTON_STEPS):
+            if not idx.size:
+                break
+            # Q(e^g) = Q(e^top) + the integral of q from e^g up to e^top
+            f = q_top + self._log_integral(g, top, xi, _GAUSS_HIGH) - uu
+            slope = self._r_q(g, xi)
+            # Q falls with log r, so Q > u puts the root above g
+            lo = np.where(f > 0.0, g, lo)
+            hi = np.where(f < 0.0, g, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g + f / slope
+            safe = (step > lo) & (step < hi)
+            done = np.abs(f) <= _NEWTON_RTOL * uu
+            out[idx[done]] = np.exp(np.where(safe, step, g)[done])
+            g = np.where(safe, step, 0.5 * (lo + hi))
+            keep = ~done
+            idx, uu, g, lo, hi, top, q_top = (
+                x[keep] for x in (idx, uu, g, lo, hi, top, q_top))
+        for i in np.flatnonzero(np.isnan(out)):
+            out[i] = self._bisect_inverse(float(u[i]), xi)
+        return out
+
+    def _table(self, xi) -> _TailTable:
+        key = None if xi is None else np.asarray(xi, dtype=float).tobytes()
+        tab = self._tables.get(key)
+        if tab is None:
+            # threads that race here build equal tables; setdefault keeps
+            # the first one stored for all of them
+            tab = self._tables.setdefault(key, self._build_table(xi))
+        return tab
+
+    def _build_table(self, xi) -> _TailTable:
+        # Q summed downward from the top node: upward from r = 1 the sum
+        # would subtract nearly equal numbers
+        t = _LOG_R_NODES
+        high = self._log_integral(t[:-1], t[1:], xi, _GAUSS_HIGH)
+        low = self._log_integral(t[:-1], t[1:], xi, _GAUSS_LOW)
+        cell_ok = np.abs(high - low) <= _CELL_RTOL * np.abs(high)
+        level = np.empty(len(t))
+        level[-1] = self.tail_integral(float(np.exp(t[-1])), xi)
+        for k in range(len(t) - 2, -1, -1):
+            level[k] = (level[k + 1] + high[k] if cell_ok[k]
+                        else self.tail_integral(float(np.exp(t[k])), xi))
+        return _TailTable(t[::-1], level[::-1], np.log(level[::-1]),
+                          np.append(cell_ok, False)[::-1])
+
+    def _log_integral(self, lo, hi, xi, rule) -> np.ndarray:
+        """Integral of q(r, xi) dr over [e^lo, e^hi], Gauss-Legendre in log r."""
+        x, w = rule
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+        return half * np.sum(self._r_q(t, xi) * w, axis=1)
+
+    def _r_q(self, t: np.ndarray, xi) -> np.ndarray:
+        """r * q(r, xi) at r = e^t; a q_fn written for scalars is looped."""
+        r = np.exp(t)
+        try:
+            vals = np.asarray(self.q_fn(r, xi), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != r.shape:
+            vals = np.array([float(self.q_fn(x, xi)) for x in r.ravel().tolist()])
+            vals = vals.reshape(r.shape)
+        return r * vals
 
     def _bisect_inverse(self, u: float, xi) -> float:
         # Q is strictly decreasing; start from the power-law asymptote of the

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from ._special import EULER_GAMMA, zeta
-from .qfunc import LayeredQ
+from .qfunc import LayeredQ, QuadratureError
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
@@ -254,26 +254,49 @@ def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
 def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
                            T: float) -> np.ndarray:
     # sum over i <= n of b_i = int_{i-1}^i E[ q_inv(s/T, V) V 1(q_inv <= 1) ] ds,
-    # computed atom by atom; the indicator switches on at s* = T * m * Q(1, xi)
+    # computed atom by atom.  Substituting s = T m Q(r, xi) turns the s-integral
+    # int_{s*}^n q_inv(s/T) ds, with s* = T m Q(1, xi), into
+    # T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T): one inverse and one
+    # quadrature in log r, under the tolerances of the s-integral
     m = sigma.total_mass()
+    mT = m * T
     total = np.zeros(sigma.dimension)
     for atom, w in zip(sigma.atoms, sigma.weights):
-        s_star = T * m * q.tail_integral(1.0, atom)
-        lo = min(s_star, float(n))
-        if lo >= n:
+        r_n = q.series_magnitude(n / T, m, atom)
+        if r_n >= 1.0:
             continue
         val, err = integrate.quad(
-            lambda s: q.series_magnitude(s / T, m, atom), lo, float(n),
-            epsabs=1e-8, epsrel=1e-10, limit=400)
+            lambda t: np.exp(2.0 * t) * q.eval_q(np.exp(t), atom), np.log(r_n), 0.0,
+            epsabs=1e-8 / mT, epsrel=1e-10, limit=400)
+        val, err = mT * val, mT * err
         if err > 1e-6 * max(1.0, abs(val)):
-            raise RuntimeError("centering quadrature did not converge")
+            raise QuadratureError("centering quadrature did not converge")
         total += (w / m) * val * atom
     return total
 
 
+def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
+                       draw: ShotNoiseDraw) -> np.ndarray:
+    # one array inverse per atom of a discrete measure, so one cached table
+    # per atom; a direction that is no atom (the continuous draws of a
+    # uniform measure) keeps its own Brent search and builds no table
+    levels = draw.gammas / draw.T * q.tail_scale / sigma.total_mass()
+    mags = np.empty_like(levels)
+    rest = np.ones(len(levels), dtype=bool)
+    if not sigma.is_uniform:
+        for atom in sigma.atoms:
+            on_atom = rest & np.all(draw.directions == atom, axis=1)
+            if np.any(on_atom):
+                mags[on_atom] = q.inverse_tail(levels[on_atom], atom)
+                rest &= ~on_atom
+    for i in np.flatnonzero(rest):
+        mags[i] = q._bisect_inverse(float(levels[i]), draw.directions[i])
+    return mags
+
+
 def _layered_path(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw,
                   grid) -> SamplePath:
-    # canonical q: closed-form magnitudes and centering; custom q: per-jump
+    # canonical q: closed-form magnitudes and centering; custom q: tabled
     # inverse tail and quadrature centering
     m = sigma.total_mass()
     drift = None
@@ -285,8 +308,7 @@ def _layered_path(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw,
                                             float(draw.cutoff_index))
             drift = -b_sum * z0 / draw.T
     else:
-        mags = np.array([q.series_magnitude(g / draw.T, m, v)
-                         for g, v in zip(draw.gammas, draw.directions)])
+        mags = _custom_magnitudes(q, sigma, draw)
         if not sigma.is_symmetric():
             drift = -_general_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T
     return _assemble(grid, draw, mags, drift)

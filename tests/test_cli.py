@@ -144,6 +144,46 @@ def test_simulate_missing_alpha():
     assert run("simulate", "--process", "stable") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ("tail", "--process", "layered", "--alpha", "1.3", "--paths", "1000"),
+    ("rn", "--paths", "5"),
+    ("rn", "--alpha", "1.3", "--paths", "5"),
+    ("limit-check", "--mode", "short", "--h", "1e-3", "--alpha", "0.7"),
+    ("simulate", "--process", "layered", "--alpha", "1.3"),
+])
+def test_missing_required_keys_exit_config(argv, capsys):
+    # a missing alpha/beta is a configuration error with a message, not a
+    # TypeError from float(None)
+    assert run(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "requires" in err
+    assert "Traceback" not in err
+
+
+def test_tail_process_from_config_checked(tmp_path):
+    # the flag is limited to stable/layered; a config file must be too
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text("process = mixed\nalpha = 1.3\nbeta = 1.9\n")
+    assert run("tail", "--config", str(cfg), "--paths", "1000") == EXIT_CONFIG
+
+
+def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
+    # a quadrature that does not converge ends in exit 2 with a message
+    import layerlab.series as series
+    from layerlab import QuadratureError
+
+    def diverge(*args, **kwargs):
+        raise QuadratureError("centering quadrature did not converge")
+
+    monkeypatch.setattr(series, "layered_path_canonical", diverge)
+    code = run("simulate", "--process", "layered", "--alpha", "1.3",
+               "--beta", "1.9", "--grid-n", "10", "--gamma-cap", "100",
+               "--out", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "numerical error: centering quadrature did not converge\n"
+
+
 def test_rn_equal_indices_rejected():
     assert run("rn", "--alpha", "1.5", "--beta", "1.5") == EXIT_CONFIG
 

@@ -68,6 +68,23 @@ def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
     assert seen == [3, 3]
 
 
+@pytest.mark.parametrize("n_paths", [3, 8])
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_paths_rejects_nonpositive_threads(monkeypatch, n_paths, threads):
+    # the inline branch (< 4 paths) and the pooled one both refuse, before
+    # any path runs or any executor exists
+    calls = []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was created")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_paths(lambda ss, i: calls.append(i) or np.zeros(1), n_paths,
+                  seed=5, d=1, threads=threads)
+    assert calls == []
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAYERLAB_THREADS", "3")
     assert worker_count() == 3

@@ -80,6 +80,58 @@ def test_inverse_roundtrip_custom():
         assert abs(q.inverse_tail(u) - r) <= 1e-8 * r
 
 
+def _kinked_q():
+    # written for scalars only: the table must loop over it
+    return LayeredQ.custom(1.3, 1.9,
+                           q_fn=lambda r, xi: r ** -2.3 if r <= 1 else r ** -2.9,
+                           c1_fn=lambda xi: 1.0, c2_fn=lambda xi: 1.0)
+
+
+def test_table_inverse_matches_closed_form():
+    # the canonical closed form is an oracle that shares nothing with the table
+    q = _kinked_q()
+    closed = LayeredQ.canonical(1.3, 1.9, 1.0)
+    us = np.logspace(-6, 8, 200)
+    got = q.inverse_tail(us)
+    ref = np.array([closed.inverse_tail(u) for u in us])
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_table_inverse_array_equals_scalar():
+    q = blend_q(0.7, 1.6)
+    us = np.logspace(-7, 9, 150)
+    got = q.inverse_tail(us)
+    assert got.shape == us.shape
+    np.testing.assert_array_equal(got, [q.inverse_tail(u) for u in us])
+    assert isinstance(q.inverse_tail(2.0), float)
+    assert q.inverse_tail(np.array([])).shape == (0,)
+
+
+def test_table_inverse_nonincreasing():
+    q = blend_q(1.3, 1.9)
+    vals = q.inverse_tail(np.logspace(-15, 13, 2000))
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+def test_table_inverse_beyond_table_ends():
+    # levels outside [Q(1e8), Q(1e-8)] (1e12 and 1e-20 here) take the
+    # Brent search; 1e-14 lies in the table's top decades
+    q = blend_q(1.3, 1.9)
+    tab = q._table(None)
+    for u in (1e12, 1e-14, 1e-20):
+        r = q.inverse_tail(u)
+        assert abs(q.tail_integral(r) - u) <= 1e-10 * u
+    assert 1e12 > tab.level[-1] and 1e-20 < tab.level[0]
+
+
+def test_table_inverse_cached_per_direction():
+    q = blend_q(1.3, 1.9)
+    q.inverse_tail(1.0)
+    q.inverse_tail(np.array([1.0, 2.0]), np.array([1.0]))
+    q.inverse_tail(3.0, np.array([1.0]))
+    assert len(q._tables) == 2
+
+
 def test_custom_asymptotics_checked():
     # a custom q whose claimed c1 is off by more than 5% must be rejected
     with pytest.raises(ValueError):

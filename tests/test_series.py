@@ -170,6 +170,88 @@ def test_general_asymmetric_centering(skew1):
     np.testing.assert_allclose(quad, closed, rtol=1e-6, atol=1e-6)
 
 
+def test_general_centering_substitution_matches_s_integral(skew1):
+    # the log-r quadrature against the s-space integral it replaces,
+    # int_{s*}^n q_inv(s/T) ds per atom
+    from scipy import integrate
+
+    from layerlab import blend_q
+    q = blend_q(1.3, 1.9)
+    m, T = skew1.total_mass(), 1.5
+    for n in (8, 40, 300):
+        ref = np.zeros(1)
+        for atom, w in zip(skew1.atoms, skew1.weights):
+            s_star = T * m * q.tail_integral(1.0, atom)
+            if s_star >= n:
+                continue
+            val, _ = integrate.quad(lambda s: q.series_magnitude(s / T, m, atom),
+                                    s_star, float(n), epsabs=1e-8, epsrel=1e-10,
+                                    limit=400)
+            ref += (w / m) * val * atom
+        got = _general_centering_sum(q, skew1, n, T)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
+
+def test_general_centering_nonconvergence_raises(skew1, monkeypatch):
+    import layerlab.series as series
+    from layerlab import QuadratureError
+
+    monkeypatch.setattr(series.integrate, "quad", lambda *a, **k: (1.0, 1.0))
+    q = LayeredQ.canonical(1.3, 1.9, 3.0)
+    with pytest.raises(QuadratureError, match="centering quadrature"):
+        _general_centering_sum(q, skew1, 100, 1.0)
+    assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_custom_tables_bounded_by_atoms(skew1):
+    # one table per atom of a discrete measure, plus the xi = None table
+    from layerlab import blend_q
+    q = blend_q(1.3, 1.9)
+    truncation_bound(q, skew1, 50.0)
+    for seed in range(3):
+        draw = draw_shot_noise(seed, 1.0, skew1, 50.0)
+        layered_path_general(q, skew1, draw, make_grid(1.0, 10))
+    assert 0 < len(q._tables) <= len(skew1.atoms) + 1
+
+
+def test_custom_tables_shared_across_threads(skew1):
+    # more threads than cores race to build the per-atom tables of one q;
+    # the paths must equal those of a q used by one thread
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from layerlab import blend_q
+    grid = make_grid(1.0, 4)
+    draws = [draw_shot_noise(seed, 1.0, skew1, 30.0) for seed in range(16)]
+    single = blend_q(1.3, 1.9)
+    ref = [layered_path_general(single, skew1, d, grid).values for d in draws]
+    q = blend_q(1.3, 1.9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda d: layered_path_general(q, skew1, d, grid).values,
+                                draws, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(ref, got):
+        np.testing.assert_array_equal(a, b)
+    assert len(q._tables) <= len(skew1.atoms)
+
+
+def test_custom_uniform_measure_builds_no_table():
+    # a uniform measure draws a new direction per jump: per-jump Brent
+    from layerlab import blend_q
+    q = blend_q(1.3, 1.9)
+    u2 = SphericalMeasure.uniform(2, 2.0)
+    draw = draw_shot_noise(4, 1.0, u2, 5.0)
+    path = layered_path_general(q, u2, draw, make_grid(1.0, 4))
+    assert len(q._tables) == 0
+    mags = np.linalg.norm(path.jump_vectors, axis=1)
+    back = 2.0 * np.array([q.tail_integral(r) for r in mags])
+    np.testing.assert_allclose(np.sort(back), draw.gammas, rtol=1e-10)
+
+
 def test_mixed_point_mass_degenerates_to_stable(sym1):
     # AC-style exactness on a shared draw
     mix = MixDistribution.point_mass(0.8)
