@@ -15,22 +15,10 @@ import os
 import numpy as np
 
 from layerlab import (LayeredQ, LayeredQuadratureCF, SphericalMeasure,
-                      StableCF, auto_r_cut, draw_shot_noise, ecf,
-                      layered_path_canonical, layered_terminals_gaussian,
-                      stable_path, substream)
+                      StableCF, auto_r_cut, ecf, layered_terminals,
+                      layered_terminals_gaussian, stable_terminals)
 
 PAIRS = ((1.3, 1.9), (1.1, 2.5), (1.9, 1.3))
-
-
-def sample_coupled(alpha, beta, sigma, n_paths, seed, gamma_cap):
-    grid = np.array([0.0, 1.0])
-    lay = np.empty((n_paths, 1))
-    stb = np.empty((n_paths, 1))
-    for i in range(n_paths):
-        draw = draw_shot_noise(substream(seed, i), 1.0, sigma, gamma_cap)
-        lay[i] = layered_path_canonical(alpha, beta, sigma, draw, grid).terminal
-        stb[i] = stable_path(alpha, sigma, draw, grid).terminal
-    return lay, stb
 
 
 def main():
@@ -50,8 +38,11 @@ def main():
         oracle = LayeredQuadratureCF(q, sigma)
         stable_oracle = StableCF.series_marginal(alpha, sigma)
         if alpha < 1.5:
-            lay, stb = sample_coupled(alpha, beta, sigma, args.paths,
-                                      args.seed, args.gamma_cap)
+            # both samplers read the draws of substream(seed, i) for path i
+            lay = layered_terminals(alpha, beta, sigma, args.paths, args.seed,
+                                    gamma_cap=args.gamma_cap)
+            stb = stable_terminals(alpha, sigma, args.paths, args.seed,
+                                   gamma_cap=args.gamma_cap)
         else:
             # the raw series cannot reach alpha near 2; no coupled companion
             lay = layered_terminals_gaussian(alpha, beta, sigma, 1.0,

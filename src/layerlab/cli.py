@@ -94,8 +94,11 @@ _REQUIRED = {
     "stable": ("alpha",),
     "layered": ("alpha", "beta"),
     "layered-rejection": ("alpha", "beta"),
-    "mixed": ("alpha", "mix"),
+    "mixed": ("mix",),
 }
+
+# the setting that gives each `tail` process its nominal tail index
+_TAIL_INDEX = {"stable": "alpha", "layered": "beta"}
 
 _DEFAULTS = {
     "process": "layered",
@@ -133,29 +136,29 @@ def _require(cfg, process) -> None:
         raise ConfigError(f"the {process} process requires {' and '.join(missing)}")
 
 
-def _simulate_one(process, cfg, sigma, draw, grid, mix):
+def _law(cfg, sigma) -> series.SeriesLaw:
+    """The one place that maps a process name and its settings to a law."""
+    process = cfg["process"]
+    if process == "mixed":
+        return series.mixed_law(_parse_mix(cfg["mix"]), sigma)
     alpha = float(cfg["alpha"])
     if process == "stable":
-        return series.stable_path(alpha, sigma, draw, grid)
+        return series.stable_law(alpha, sigma)
+    beta = float(cfg["beta"])
     if process == "layered":
-        return series.layered_path_canonical(alpha, float(cfg["beta"]), sigma,
-                                             draw, grid)
-    if process == "layered-rejection":
-        return series.layered_path_rejection(alpha, float(cfg["beta"]), sigma,
-                                             draw, cfg.get("base", "inner"), grid)
-    if process == "mixed":
-        return series.mixed_path(mix, sigma, draw, grid)
-    raise ConfigError(f"unknown process {process!r}")
+        return series.layered_law(LayeredQ.canonical(alpha, beta, sigma.total_mass()),
+                                  sigma)
+    return series.rejection_law(alpha, beta, sigma, cfg.get("base", "inner"))
 
 
-def _parse_coupled(text):
-    """'stable:1.3,stable:0.5' -> [(label, process, alpha)]."""
+def _parse_coupled(text, sigma):
+    """'stable:1.3,stable:0.5' -> [(label, law)]."""
     out = []
     for item in text.split(","):
         proc, _, a = item.partition(":")
         if proc != "stable":
             raise ConfigError("coupled companions must be stable:<alpha>")
-        out.append((f"stable_a{a}", proc, float(a)))
+        out.append((f"stable_a{a}", series.stable_law(float(a), sigma)))
     return out
 
 
@@ -165,7 +168,7 @@ def _parse_coupled(text):
 def cmd_simulate(args) -> int:
     cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "T",
                                "grid_n", "paths", "seed", "gamma_cap",
-                               "format", "base", "mix"))
+                               "format", "base", "mix", "coupled"))
     process = cfg["process"]
     if process not in PROCESSES:
         raise ConfigError(f"process must be one of {PROCESSES}")
@@ -178,11 +181,12 @@ def cmd_simulate(args) -> int:
     seed = int(cfg["seed"])
     gamma_cap = float(cfg["gamma_cap"])
     grid = make_grid(T, int(cfg["grid_n"]))
-    mix = _parse_mix(cfg["mix"]) if process == "mixed" else None
     fmt = cfg["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    coupled = _parse_coupled(args.coupled) if getattr(args, "coupled", None) else []
+    coupled = cfg.pop("coupled", "")     # the manifest keeps it beside the config
+    law = _law(cfg, sigma)
+    jobs = [(process, law)] + (_parse_coupled(coupled, sigma) if coupled else [])
 
     out = args.out or "layerlab_run"
     suffix = "." + fmt
@@ -190,17 +194,11 @@ def cmd_simulate(args) -> int:
     started = time.time()
     files = []
     for p in range(n_paths):
-        draw = draw_shot_noise(mc.substream(seed, p), T, sigma, gamma_cap,
-                               with_rejects=(process == "layered-rejection"),
-                               mix=mix)
-        jobs = [(process, process, None)] + coupled
-        for label, proc, alpha_over in jobs:
-            local = dict(cfg)
-            if alpha_over is not None:
-                local["alpha"] = str(alpha_over)
-            path = _simulate_one(proc, local, sigma, draw, grid, mix)
+        draw = law.draw(mc.substream(seed, p), T, gamma_cap)
+        for label, job in jobs:
+            path = job.path(draw, grid)
             name = stem
-            if label != process or len(jobs) > 1:
+            if len(jobs) > 1:
                 name += f"_{label}"
             if n_paths > 1:
                 name += f"_p{p:04d}"
@@ -212,21 +210,12 @@ def cmd_simulate(args) -> int:
                 write_csv(name, path.grid, path.values)
             files.append(name)
 
-    if process == "stable":
-        bound = series.stable_truncation_bound(float(cfg["alpha"]), sigma, gamma_cap)
-    elif process in ("layered", "layered-rejection"):
-        q = LayeredQ.canonical(float(cfg["alpha"]), float(cfg["beta"]),
-                               sigma.total_mass())
-        bound = series.truncation_bound(q, sigma, gamma_cap)
-    else:
-        bound = series.stable_truncation_bound(float(np.min(mix.atoms)), sigma,
-                                               gamma_cap)
     manifest = {
         "config": {k: cfg[k] for k in sorted(cfg)},
-        "coupled": args.coupled or "",
+        "coupled": coupled,
         "files": files,
         "seed": seed,
-        "truncation_bound": bound,
+        "truncation_bound": law.truncation_bound(gamma_cap),
         "wall_time_s": time.time() - started,
     }
     write_json(stem + ".manifest.json", manifest)
@@ -275,23 +264,16 @@ def cmd_rn(args) -> int:
 def cmd_tail(args) -> int:
     cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "paths",
                                "seed", "gamma_cap"))
-    if cfg["process"] not in ("stable", "layered"):
+    process = cfg["process"]
+    if process not in _TAIL_INDEX:
         raise ConfigError("tail process must be stable or layered")
-    _require(cfg, cfg["process"])
+    _require(cfg, process)
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
-    sigma = parse_spherical_spec(cfg["sigma"])
-    alpha = float(cfg["alpha"])
     seed = int(cfg["seed"])
-    cap = float(cfg["gamma_cap"])
-    if cfg["process"] == "stable":
-        x = mc.stable_terminals(alpha, sigma, n_paths, seed, gamma_cap=cap)
-        true_index = alpha
-    else:
-        beta = float(cfg["beta"])
-        x = mc.layered_terminals(alpha, beta, sigma, n_paths, seed, gamma_cap=cap)
-        true_index = beta
+    law = _law(cfg, parse_spherical_spec(cfg["sigma"]))
+    x = mc.terminals(law, n_paths, seed, gamma_cap=float(cfg["gamma_cap"]))
     mags = np.linalg.norm(np.atleast_2d(x), axis=1)
     mags = mags[mags > 0]
     k = args.k if args.k is not None else int(np.sqrt(len(mags)))
@@ -299,13 +281,13 @@ def cmd_tail(args) -> int:
         raise ConfigError(f"k = {k} must be smaller than the sample size {len(mags)}")
     est, lo, hi = stats.hill_ci(mags, k, seed=seed)
     report = {
-        "process": cfg["process"],
+        "process": process,
         "paths": n_paths,
         "k": k,
         "hill_estimate": est,
         "ci_low": lo,
         "ci_high": hi,
-        "nominal_index": true_index,
+        "nominal_index": float(cfg[_TAIL_INDEX[process]]),
     }
     _emit(args.out, report)
     return EXIT_OK
@@ -442,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="Hill tail-index estimate")
     common(p)
-    p.add_argument("--process", choices=("stable", "layered"))
+    p.add_argument("--process", choices=tuple(_TAIL_INDEX))
     p.add_argument("--k", type=int)
     p.set_defaults(fn=cmd_tail)
 

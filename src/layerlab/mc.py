@@ -22,9 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .qfunc import LayeredQ
-from .series import (MixDistribution, canonical_magnitudes, draw_shot_noise,
-                     layered_path_canonical, layered_path_rejection, mixed_path,
-                     stable_path)
+from .series import (MixDistribution, SeriesLaw, canonical_magnitudes, layered_law,
+                     mixed_law, rejection_law, stable_law)
 from .spherical import SphericalMeasure
 
 
@@ -70,50 +69,44 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
 # -- terminal samplers via the truncated series -----------------------
 
 
-def _series_terminals(build, sigma: SphericalMeasure, n_paths: int, seed: int,
-                      T: float, gamma_cap: float, threads: int | None,
-                      **draw_options) -> np.ndarray:
-    # X_T of build(draw, grid) on each per-path substream
+def terminals(law: SeriesLaw, n_paths: int, seed: int, T: float = 1.0,
+              gamma_cap: float = 1e4, threads: int | None = None) -> np.ndarray:
+    """X_T of the law's series path on each per-path substream."""
     grid = np.array([0.0, T])
 
     def one(ss, _i):
-        draw = draw_shot_noise(ss, T, sigma, gamma_cap, **draw_options)
-        return build(draw, grid).terminal
+        return law.path(law.draw(ss, T, gamma_cap), grid).terminal
 
-    return run_paths(one, n_paths, seed, sigma.dimension, threads)
+    return run_paths(one, n_paths, seed, law.sigma.dimension, threads)
 
 
 def stable_terminals(alpha: float, sigma: SphericalMeasure, n_paths: int,
                      seed: int, T: float = 1.0, gamma_cap: float = 1e4,
                      threads: int | None = None) -> np.ndarray:
-    return _series_terminals(lambda draw, grid: stable_path(alpha, sigma, draw, grid),
-                             sigma, n_paths, seed, T, gamma_cap, threads)
+    return terminals(stable_law(alpha, sigma), n_paths, seed, T, gamma_cap, threads)
 
 
 def layered_terminals(alpha: float, beta: float, sigma: SphericalMeasure,
                       n_paths: int, seed: int, T: float = 1.0,
                       gamma_cap: float = 1e4,
                       threads: int | None = None) -> np.ndarray:
-    return _series_terminals(
-        lambda draw, grid: layered_path_canonical(alpha, beta, sigma, draw, grid),
-        sigma, n_paths, seed, T, gamma_cap, threads)
+    q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
+    return terminals(layered_law(q, sigma), n_paths, seed, T, gamma_cap, threads)
 
 
 def rejection_terminals(alpha: float, beta: float, sigma: SphericalMeasure,
                         base: str, n_paths: int, seed: int, T: float = 1.0,
                         gamma_cap: float = 1e4,
                         threads: int | None = None) -> np.ndarray:
-    return _series_terminals(
-        lambda draw, grid: layered_path_rejection(alpha, beta, sigma, draw, base, grid),
-        sigma, n_paths, seed, T, gamma_cap, threads, with_rejects=True)
+    return terminals(rejection_law(alpha, beta, sigma, base), n_paths, seed, T,
+                     gamma_cap, threads)
 
 
 def mixed_terminals(mix: MixDistribution, sigma: SphericalMeasure,
                     n_paths: int, seed: int, T: float = 1.0,
                     gamma_cap: float = 1e4,
                     threads: int | None = None) -> np.ndarray:
-    return _series_terminals(lambda draw, grid: mixed_path(mix, sigma, draw, grid),
-                             sigma, n_paths, seed, T, gamma_cap, threads, mix=mix)
+    return terminals(mixed_law(mix, sigma), n_paths, seed, T, gamma_cap, threads)
 
 
 # -- exact big-jump sampler -------------------------------------------

@@ -14,7 +14,8 @@ cells plus the drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -24,6 +25,11 @@ from .qfunc import LayeredQ, QuadratureError
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
+
+# Largest expected arrival count gamma_cap * T of one draw.  A draw and its
+# assembly peak near 60 bytes per arrival in d = 1 and 105 in d = 3, so one
+# path stays near 2 GB; AC11 uses cap 1e6.
+MAX_ARRIVALS = 2e7
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,6 @@ class SamplePath:
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
 
 def make_grid(T: float, n: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_n = T."""
@@ -138,6 +140,9 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
     """
     if gamma_cap <= 0.0 or T <= 0.0:
         raise ValueError("gamma_cap and T must be positive")
+    if gamma_cap * T > MAX_ARRIVALS:
+        raise ValueError(f"gamma_cap * T = {gamma_cap * T:.3g} exceeds the budget "
+                         f"of {MAX_ARRIVALS:.3g} arrivals per draw")
     rng = np.random.default_rng(seed)
     cap = gamma_cap * T
     # draw exponential increments in blocks until the cumulative sum passes cap
@@ -363,11 +368,41 @@ def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
     return _assemble(grid, draw, mags)
 
 
-def truncation_bound(q: LayeredQ, sigma: SphericalMeasure, gamma_cap: float) -> float:
-    """Upper bound on the magnitude of any discarded series term."""
-    return q.series_magnitude(gamma_cap, sigma.total_mass())
+@dataclass(frozen=True)
+class SeriesLaw:
+    """One series process: path(draw, grid) calls its public builder, the
+    draw carries the draw_options the builder reads, and truncation_bound(cap)
+    bounds every term the cap discards (for rejection, the base series' terms;
+    for a mix, those of each atom)."""
+
+    sigma: SphericalMeasure
+    path: Callable[[ShotNoiseDraw, np.ndarray], SamplePath]
+    truncation_bound: Callable[[float], float]
+    draw_options: dict = field(default_factory=dict)
+
+    def draw(self, seed, T: float, gamma_cap: float) -> ShotNoiseDraw:
+        return draw_shot_noise(seed, T, self.sigma, gamma_cap, **self.draw_options)
 
 
-def stable_truncation_bound(alpha: float, sigma: SphericalMeasure,
-                            gamma_cap: float) -> float:
-    return (alpha * gamma_cap / sigma.total_mass()) ** (-1.0 / alpha)
+def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
+    return SeriesLaw(sigma, lambda draw, grid: stable_path(alpha, sigma, draw, grid),
+                     lambda cap: (alpha * cap / sigma.total_mass()) ** (-1.0 / alpha))
+
+
+def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
+    return SeriesLaw(sigma, lambda draw, grid: layered_path_general(q, sigma, draw, grid),
+                     lambda cap: q.series_magnitude(cap, sigma.total_mass()))
+
+
+def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
+                  base: str) -> SeriesLaw:
+    base_law = stable_law(alpha if base == "inner" else beta, sigma)
+    return SeriesLaw(
+        sigma, lambda draw, grid: layered_path_rejection(alpha, beta, sigma, draw, base, grid),
+        base_law.truncation_bound, {"with_rejects": True})
+
+
+def mixed_law(mix: MixDistribution, sigma: SphericalMeasure) -> SeriesLaw:
+    bounds = [stable_law(a, sigma).truncation_bound for a in mix.atoms]
+    return SeriesLaw(sigma, lambda draw, grid: mixed_path(mix, sigma, draw, grid),
+                     lambda cap: max(b(cap) for b in bounds), {"mix": mix})

@@ -129,9 +129,6 @@ class SphericalMeasure:
         idx = np.searchsorted(self._cum, u, side="right")
         return self.atoms[idx]
 
-    def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_directions(rng, 1)[0]
-
     def scaled(self, factor) -> "SphericalMeasure":
         """New measure with weights multiplied by factor (scalar or per-atom)."""
         if self.is_uniform:

@@ -32,25 +32,85 @@ def test_simulate_deterministic_csv(tmp_path):
     assert lines[1].startswith("0,")
 
 
-def test_simulate_manifest_round_trip(tmp_path):
-    out = tmp_path / "run"
-    args = ["simulate", "--process", "layered", "--alpha", "1.3",
-            "--beta", "1.9", "--grid-n", "50", "--gamma-cap", "300",
-            "--seed", "11", "--out", str(out)]
-    assert run(*args) == EXIT_OK
-    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
-    assert manifest["files"] == [str(out) + ".csv"]
-    assert manifest["truncation_bound"] > 0.0
-    first = (tmp_path / "run.csv").read_bytes()
+ROUND_TRIP_RUNS = {
+    "stable": ["--process", "stable", "--alpha", "1.3"],
+    "layered": ["--process", "layered", "--alpha", "1.3", "--beta", "1.9"],
+    "rejection": ["--process", "layered-rejection", "--alpha", "1.3",
+                  "--beta", "1.9", "--base", "outer"],
+    "mixed": ["--process", "mixed", "--mix", "0.8:0.5,1.5:0.5"],
+    "coupled": ["--process", "layered", "--alpha", "1.3", "--beta", "1.9",
+                "--coupled", "stable:1.3"],
+    "json": ["--process", "layered", "--alpha", "1.3", "--beta", "1.9",
+             "--format", "json"],
+}
 
-    # replay from a config file built out of the recorded configuration
-    cfg_file = tmp_path / "replay.cfg"
-    cfg_file.write_text("\n".join(
-        f"{k} = {v}" for k, v in manifest["config"].items()
-        if k not in ("mix",) and v is not None) + "\n")
-    out2 = tmp_path / "replay"
-    assert run("simulate", "--config", str(cfg_file), "--out", str(out2)) == EXIT_OK
-    assert (tmp_path / "replay.csv").read_bytes() == first
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_RUNS))
+def test_simulate_manifest_round_trip(name, tmp_path):
+    # the flag, config-file and manifest-replay routes write the same bytes
+    flags = ROUND_TRIP_RUNS[name] + ["--grid-n", "50", "--gamma-cap", "300",
+                                     "--seed", "11"]
+
+    def simulate(route, *argv):
+        out = tmp_path / route
+        out.mkdir()
+        assert run("simulate", *argv, "--out", str(out / "run")) == EXIT_OK
+        manifest = json.loads((out / "run.manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f.split("/")[-1] for f in manifest["files"]] + ["run.manifest.json"])
+        return manifest, {f.split("/")[-1]: open(f, "rb").read()
+                          for f in manifest["files"]}
+
+    def config_file(route, items):
+        path = tmp_path / f"{route}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in items))
+        return str(path)
+
+    manifest, first = simulate("flags", *flags)
+    assert len(first) == (2 if name == "coupled" else 1)
+    assert manifest["truncation_bound"] > 0.0
+    pairs = [(flags[i].lstrip("-"), flags[i + 1]) for i in range(0, len(flags), 2)]
+    _, from_file = simulate("file", "--config", config_file("file", pairs))
+    replay = [(k, v) for k, v in manifest["config"].items() if v is not None]
+    if manifest["coupled"]:
+        replay.append(("coupled", manifest["coupled"]))
+    _, replayed = simulate("replay", "--config", config_file("replay", replay))
+    assert from_file == first
+    assert replayed == first
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (("--process", "mixed", "--mix", "0.8:0.5,1.5:0.5"), (1.5 * 1e4 / 2) ** (-1 / 1.5)),
+    (("--process", "layered-rejection", "--alpha", "1.3", "--beta", "1.9",
+      "--base", "outer"), (1.9 * 1e4 / 2) ** (-1 / 1.9)),
+    (("--process", "layered-rejection", "--alpha", "1.3", "--beta", "1.9",
+      "--base", "inner"), (1.3 * 1e4 / 2) ** (-1 / 1.3)),
+])
+def test_simulate_manifest_truncation_bound(argv, bound, tmp_path):
+    # the largest magnitude a discarded term can have: the base series' for
+    # rejection, the largest over the atoms for a mix
+    out = tmp_path / "b"
+    assert run("simulate", *argv, "--gamma-cap", "1e4", "--grid-n", "10",
+               "--out", str(out)) == EXIT_OK
+    manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+    assert manifest["truncation_bound"] == pytest.approx(bound, rel=1e-12)
+
+
+def test_simulate_mixed_needs_only_mix(tmp_path):
+    # --alpha is not a setting of the mixed process: accepted and ignored
+    args = ["simulate", "--process", "mixed", "--mix", "0.8:0.5,1.5:0.5",
+            "--grid-n", "20", "--gamma-cap", "200", "--seed", "3"]
+    assert run(*args, "--out", str(tmp_path / "a")) == EXIT_OK
+    assert run(*args, "--alpha", "1.0", "--out", str(tmp_path / "b")) == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_simulate_over_budget_cap_rejected(tmp_path, capsys):
+    # rejected before any draw, so nothing is allocated or written
+    assert run("simulate", "--process", "stable", "--alpha", "1.3",
+               "--gamma-cap", "1e12", "--out", str(tmp_path / "big")) == EXIT_CONFIG
+    assert "budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_coupled_companions(tmp_path):
@@ -175,7 +235,7 @@ def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
     def diverge(*args, **kwargs):
         raise QuadratureError("centering quadrature did not converge")
 
-    monkeypatch.setattr(series, "layered_path_canonical", diverge)
+    monkeypatch.setattr(series, "layered_path_general", diverge)
     code = run("simulate", "--process", "layered", "--alpha", "1.3",
                "--beta", "1.9", "--grid-n", "10", "--gamma-cap", "100",
                "--out", str(tmp_path / "run"))

@@ -11,9 +11,10 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       canonical_magnitudes, draw_shot_noise,
                       layered_path_canonical, layered_path_general,
                       layered_path_rejection, make_grid, mixed_path,
-                      stable_drift_constant, stable_path,
-                      stable_truncation_bound, truncation_bound)
-from layerlab.series import _MAG_FLOOR, _assemble, _general_centering_sum
+                      layered_law, mixed_law, rejection_law,
+                      stable_drift_constant, stable_law, stable_path)
+from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, _assemble,
+                             _general_centering_sum)
 
 
 def _single_term_draw(gamma=1.0, T=1.0, time=0.4, direction=(1.0,)):
@@ -207,7 +208,7 @@ def test_custom_tables_bounded_by_atoms(skew1):
     # one table per atom of a discrete measure, plus the xi = None table
     from layerlab import blend_q
     q = blend_q(1.3, 1.9)
-    truncation_bound(q, skew1, 50.0)
+    layered_law(q, skew1).truncation_bound(50.0)
     for seed in range(3):
         draw = draw_shot_noise(seed, 1.0, skew1, 50.0)
         layered_path_general(q, skew1, draw, make_grid(1.0, 10))
@@ -312,11 +313,27 @@ def test_rejection_thinning_keeps_small_inner_jumps(sym1):
 
 def test_truncation_bounds(sym1):
     q = LayeredQ.canonical(1.3, 1.9, 2.0)
-    b1 = truncation_bound(q, sym1, 1e4)
+    b1 = layered_law(q, sym1).truncation_bound(1e4)
     assert abs(b1 - q.inverse_tail(1e4)) < 1e-15
-    assert truncation_bound(q, sym1, 1e6) < b1
-    sb = stable_truncation_bound(1.3, sym1, 1e4)
+    assert layered_law(q, sym1).truncation_bound(1e6) < b1
+    sb = stable_law(1.3, sym1).truncation_bound(1e4)
     assert abs(sb - (1.3 * 1e4 / 2.0) ** (-1.0 / 1.3)) < 1e-15
+    # rejection discards the base series' terms beyond the cap, a mix the
+    # terms of each of its atoms
+    for base, index in (("inner", 1.3), ("outer", 1.9)):
+        law = rejection_law(1.3, 1.9, sym1, base)
+        assert law.truncation_bound(1e4) == stable_law(index, sym1).truncation_bound(1e4)
+    mix = MixDistribution.uniform_on([0.8, 1.5])
+    assert (mixed_law(mix, sym1).truncation_bound(1e4)
+            == stable_law(1.5, sym1).truncation_bound(1e4))
+
+
+def test_draw_budget_rejects_before_drawing(sym1):
+    # only caps above the budget are tried: they raise before any allocation
+    with pytest.raises(ValueError, match="budget"):
+        draw_shot_noise(0, 1.0, sym1, 10.0 * MAX_ARRIVALS)
+    with pytest.raises(ValueError, match="budget"):
+        draw_shot_noise(0, 4.0, sym1, MAX_ARRIVALS / 2.0)
 
 
 @settings(max_examples=25, deadline=None)
