@@ -33,16 +33,12 @@ class ConfigError(ValueError):
 # -- helpers ----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path, grid, values):
     d = values.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(d))
-    lines = [header]
-    for t, row in zip(grid, values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    # Python floats format faster than numpy scalars, to the same text
+    row = ",".join(["{:.17g}"] * (d + 1))
+    lines = [header] + [row.format(t, *v) for t, v in zip(grid.tolist(), values.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -229,6 +225,8 @@ def cmd_limit_check(args) -> int:
     h = float(args.h)
     n_paths = int(cfg["paths"])
     threshold = float(args.threshold)
+    if not 0.0 < threshold < np.inf:
+        raise ConfigError(f"threshold must be positive and finite, got {threshold}")
     target, rescaled, spec = limits.limit_target_and_samples(
         float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
         args.mode, h, n_paths, int(cfg["seed"]), float(cfg["gamma_cap"]))
@@ -385,23 +383,30 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="layerlab",
+    # no abbreviated flags: --h would otherwise read as --help where there is no --h
+    ap = argparse.ArgumentParser(prog="layerlab", allow_abbrev=False,
                                  description="Layered stable process toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add_parser(name, **kw):
+        return sub.add_parser(name, allow_abbrev=False, **kw)
+
+    def common(p, grid=True):
+        # grid: the command builds paths on a grid over [0, T] (simulate, rn);
+        # limit-check and tail take no --T or --grid-n, which they would ignore
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--sigma")
-        p.add_argument("--T", type=float)
-        p.add_argument("--grid-n", dest="grid_n", type=int)
+        if grid:
+            p.add_argument("--T", type=float)
+            p.add_argument("--grid-n", dest="grid_n", type=int)
         p.add_argument("--paths", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--gamma-cap", dest="gamma_cap", type=float)
         p.add_argument("--out")
 
-    p = sub.add_parser("simulate", help="simulate sample paths to CSV or JSON")
+    p = add_parser("simulate", help="simulate sample paths to CSV or JSON")
     common(p)
     p.add_argument("--process", choices=PROCESSES)
     p.add_argument("--format", choices=("csv", "json"))
@@ -410,25 +415,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupled", help="companion processes on the same draw")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("limit-check", help="verify a scaling-limit theorem")
-    common(p)
+    p = add_parser("limit-check", help="verify a scaling-limit theorem")
+    common(p, grid=False)
     p.add_argument("--mode", required=True, choices=("short", "long"))
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--threshold", type=float, default=0.07)
     p.set_defaults(fn=cmd_limit_check)
 
-    p = sub.add_parser("rn", help="Radon-Nikodym diagnostics")
+    p = add_parser("rn", help="Radon-Nikodym diagnostics")
     common(p)
     p.add_argument("--functional", default="sup-exceeds:3")
     p.set_defaults(fn=cmd_rn)
 
-    p = sub.add_parser("tail", help="Hill tail-index estimate")
-    common(p)
+    p = add_parser("tail", help="Hill tail-index estimate")
+    common(p, grid=False)
     p.add_argument("--process", choices=tuple(_TAIL_INDEX))
     p.add_argument("--k", type=int)
     p.set_defaults(fn=cmd_tail)
 
-    p = sub.add_parser("selftest", help="run the reduced invariant suite")
+    p = add_parser("selftest", help="run the reduced invariant suite")
     p.add_argument("--corrupt-zeta", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_selftest)

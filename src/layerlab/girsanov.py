@@ -221,6 +221,7 @@ def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,
     """
     if alpha == beta:
         raise ValueError("alpha = beta is a degenerate change of measure")
+    LayeredQ.canonical(alpha, beta, sigma.total_mass())     # checks both indices
     if n_paths < 2:
         raise ValueError(f"standard errors need at least two paths, got {n_paths}")
     f = _path_functional(functional)

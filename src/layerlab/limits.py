@@ -36,8 +36,8 @@ class LimitSpec:
     def __post_init__(self):
         if self.mode not in (SHORT_STABLE, LONG_STABLE, LONG_GAUSSIAN):
             raise ValueError(f"unknown limit mode {self.mode!r}")
-        if self.h <= 0.0:
-            raise ValueError("horizon factor h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"horizon factor h must be positive and finite, got {self.h}")
         if self.mode == LONG_GAUSSIAN:
             if self.index != 2.0:
                 raise ValueError("Gaussian mode rescales with index 2")
@@ -172,6 +172,9 @@ def limit_target_and_samples(alpha: float, beta: float, sigma: SphericalMeasure,
     """
     if n_paths < 1:
         raise ValueError(f"a limit check needs at least one path, got {n_paths}")
+    # the symmetric sampler never reads gamma_cap, so check it here
+    if not 0.0 < gamma_cap < np.inf:
+        raise ValueError(f"gamma_cap must be positive and finite, got {gamma_cap}")
     m = sigma.total_mass()
     q = LayeredQ.canonical(alpha, beta, m)
     if mode == "short":

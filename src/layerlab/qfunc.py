@@ -72,10 +72,10 @@ class LayeredQ:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"inner index alpha must lie in (0,2), got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValueError(f"outer index beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"outer index beta must be positive and finite, got {self.beta}")
         if self.is_canonical:
-            if self.sigma_mass <= 0:
+            if not self.sigma_mass > 0:
                 raise ValueError("canonical q needs a positive sigma_mass")
         else:
             if self.q_fn is None or self.c1_fn is None or self.c2_fn is None:

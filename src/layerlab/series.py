@@ -9,7 +9,10 @@ jump by the inverse tail evaluated at gamma_cap.
 Every builder hands its magnitudes to one assembly routine.  It never sorts
 the jump times: each jump goes into the grid cell that first sees it, the
 cells are summed in arrival order, and the path is the running sum of the
-cells plus the drift.
+cells plus the drift.  The cell of a jump is computed by arithmetic,
+ceil(t (len(grid) - 1) / grid[-1]), and checked exactly against the grid;
+only a guess that fails the check is searched, so the cells equal
+np.searchsorted on any grid.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class ShotNoiseDraw:
                 raise ValueError("gammas must be strictly increasing and positive")
         if len(self.times) != n or len(self.directions) != n:
             raise ValueError("sequence length mismatch")
-        if np.any(self.times < 0.0) or np.any(self.times > self.T):
+        if not np.all((self.times >= 0.0) & (self.times <= self.T)):    # NaN too
             raise ValueError("jump times must lie in [0, T]")
         for opt in (self.rejects, self.alphas):
             if opt is not None and len(opt) != n:
@@ -126,8 +129,8 @@ class SamplePath:
 
 def make_grid(T: float, n: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_n = T."""
-    if n < 1 or T <= 0.0:
-        raise ValueError("need n >= 1 grid steps and T > 0")
+    if n < 1 or not 0.0 < T < np.inf:
+        raise ValueError(f"need n >= 1 grid steps and a finite T > 0, got n={n}, T={T}")
     return np.linspace(0.0, T, n + 1)
 
 
@@ -138,8 +141,8 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
 
     seed may be an integer or a numpy SeedSequence (for parallel substreams).
     """
-    if gamma_cap <= 0.0 or T <= 0.0:
-        raise ValueError("gamma_cap and T must be positive")
+    if not (gamma_cap > 0.0 and T > 0.0):
+        raise ValueError(f"gamma_cap and T must be positive, got {gamma_cap} and {T}")
     if gamma_cap * T > MAX_ARRIVALS:
         raise ValueError(f"gamma_cap * T = {gamma_cap * T:.3g} exceeds the budget "
                          f"of {MAX_ARRIVALS:.3g} arrivals per draw")
@@ -177,20 +180,47 @@ def _check_grid(grid: np.ndarray, T: float) -> np.ndarray:
     return grid
 
 
+def _grid_cells(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """np.searchsorted(grid, times, side="left") on any increasing grid.
+
+    Each cell is guessed as ceil(t (n - 1) / grid[-1]), which is exact up to
+    rounding on a uniform grid, and checked exactly against the grid padded
+    with -inf and +inf: cell c is right when ext[c] < t <= ext[c + 1].  Only
+    the guesses that fail the check (on a non-uniform grid, or by rounding
+    next to a grid point) are searched.  A time past grid[-1] gets cell n.
+    """
+    n = len(grid)
+    guess = np.ceil(times * ((n - 1) / grid[-1]))
+    cell = np.clip(guess, 0, n, out=guess).astype(np.intp)
+    lower = np.concatenate(([-np.inf], grid))     # ext[c]
+    upper = np.concatenate((grid, [np.inf]))      # ext[c + 1]
+    wrong = ~((lower.take(cell) < times) & (times <= upper.take(cell)))
+    if wrong.any():
+        cell[wrong] = np.searchsorted(grid, times[wrong], side="left")
+    return cell
+
+
 def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SamplePath:
     # evaluate the truncated series on the grid without sorting the jumps:
     # each kept jump is binned into the first grid cell j with grid[j] >= T_i
-    # (summed in arrival order), the cell sums are accumulated along the grid,
-    # and the drift is linear in t; jumps after grid[-1] land in a dropped bin
+    # (checked arithmetic, _grid_cells), the cells are summed in arrival
+    # order and accumulated along the grid, and the drift is linear in t;
+    # jumps after grid[-1] land in a dropped bin.  When every jump is kept
+    # (all builders but rejection, unless a magnitude is below the floor)
+    # the draw's times and directions are used without a boolean copy
     grid = _check_grid(grid, draw.T)
     above_floor = mags >= _MAG_FLOOR
     keep = above_floor if keep is None else keep & above_floor
-    vectors = mags[keep, None] * draw.directions[keep]
+    if keep.all():
+        vectors = mags[:, None] * draw.directions
+        times = draw.times
+    else:
+        vectors = mags[keep, None] * draw.directions[keep]
+        times = draw.times[keep]
     d = draw.directions.shape[1]
     drift = np.zeros(d) if drift is None else drift
-    times = draw.times[keep]
     n = len(grid)
-    cell = np.searchsorted(grid, times, side="left")
+    cell = _grid_cells(grid, times)
     sums = np.empty((n, d))
     for k in range(d):
         sums[:, k] = np.bincount(cell, weights=vectors[:, k], minlength=n + 1)[:n]
@@ -332,11 +362,21 @@ def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
     return _layered_path(q, sigma, draw, grid)
 
 
+def _check_rejection(alpha: float, beta: float, base: str) -> None:
+    # written so that a NaN index fails every comparison and is rejected
+    if not 0.0 < alpha < beta < np.inf:
+        raise ValueError(f"rejection construction needs 0 < alpha < beta < inf, "
+                         f"got alpha={alpha}, beta={beta}")
+    if base not in ("inner", "outer"):
+        raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
+    if base == "outer" and not beta < 2.0:
+        raise ValueError("outer base needs a beta-stable series, beta < 2")
+
+
 def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
                            draw: ShotNoiseDraw, base: str, grid) -> SamplePath:
     """Layered path by thinning a stable series (inner or outer base)."""
-    if alpha >= beta:
-        raise ValueError("rejection construction needs alpha < beta")
+    _check_rejection(alpha, beta, base)
     if draw.rejects is None:
         raise ValueError("draw carries no rejection uniforms")
     if not sigma.is_symmetric():
@@ -345,13 +385,9 @@ def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
     if base == "inner":
         cand = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
         ratio = np.where(cand <= 1.0, 1.0, cand ** (alpha - beta))
-    elif base == "outer":
-        if beta >= 2.0:
-            raise ValueError("outer base needs a beta-stable series, beta < 2")
+    else:
         cand = (beta * draw.gammas / mT) ** (-1.0 / beta)
         ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
-    else:
-        raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
     return _assemble(grid, draw, cand, keep=draw.rejects <= ratio)
 
 
@@ -396,6 +432,7 @@ def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
 
 def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
                   base: str) -> SeriesLaw:
+    _check_rejection(alpha, beta, base)
     base_law = stable_law(alpha if base == "inner" else beta, sigma)
     return SeriesLaw(
         sigma, lambda draw, grid: layered_path_rejection(alpha, beta, sigma, draw, base, grid),

@@ -127,7 +127,7 @@ class SphericalMeasure:
             return g / np.linalg.norm(g, axis=1, keepdims=True)
         u = rng.random(n) * self._cum[-1]
         idx = np.searchsorted(self._cum, u, side="right")
-        return self.atoms[idx]
+        return self.atoms.take(idx, axis=0)
 
     def scaled(self, factor) -> "SphericalMeasure":
         """New measure with weights multiplied by factor (scalar or per-atom)."""

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: determinism, manifest round trips, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_canonical,
                       layered_path_rejection, make_grid, substream)
 from layerlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          entrypoint)
+                          entrypoint, write_csv)
 
 
 def run(*argv):
@@ -200,6 +206,18 @@ def test_config_comments_and_dashes(tmp_path):
     assert len(lines) == 12
 
 
+def test_write_csv_exact_text(tmp_path):
+    # 17 significant digits, shortest exponent form, signed zero kept
+    grid = np.array([0.0, 0.1, 1.0 / 3.0])
+    values = np.array([[1e-300, -0.0], [5e-324, 0.1], [1.0 / 3.0, -2.5]])
+    write_csv(tmp_path / "x.csv", grid, values)
+    assert (tmp_path / "x.csv").read_bytes() == (
+        b"t,x1,x2\n"
+        b"0,1e-300,-0\n"
+        b"0.10000000000000001,4.9406564584124654e-324,0.10000000000000001\n"
+        b"0.33333333333333331,0.33333333333333331,-2.5\n")
+
+
 def test_simulate_missing_alpha():
     assert run("simulate", "--process", "stable") == EXIT_CONFIG
 
@@ -218,6 +236,60 @@ def test_missing_required_keys_exit_config(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "requires" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--process", "layered", "--alpha", "1.3", "--beta", "nan"),
+    ("simulate", "--process", "layered", "--alpha", "1.3", "--beta", "inf"),
+    ("simulate", "--process", "layered-rejection", "--alpha", "1.3", "--beta", "nan"),
+    ("rn", "--alpha", "1.3", "--beta", "nan", "--paths", "5"),
+])
+def test_non_finite_beta_exit_config(argv, tmp_path, capsys):
+    # a NaN index fails every comparison, so the checks are written to reject it
+    assert run(*argv, "--grid-n", "10", "--gamma-cap", "100",
+               "--out", str(tmp_path / "run")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# the smallest valid run of each command; the property below breaks one key
+_SMALL_RUNS = {
+    "simulate": {"process": "layered", "alpha": "1.3", "beta": "1.9", "T": "1",
+                 "gamma_cap": "100", "grid_n": "10", "paths": "1"},
+    "rn": {"alpha": "1.3", "beta": "1.9", "T": "1", "gamma_cap": "100",
+           "grid_n": "10", "paths": "2"},
+    "limit-check": {"mode": "short", "h": "1e-3", "alpha": "1.3", "beta": "1.9",
+                    "gamma_cap": "100", "paths": "1", "threshold": "0.07"},
+    "tail": {"process": "layered", "alpha": "1.3", "beta": "1.9",
+             "gamma_cap": "100", "paths": "1000"},
+}
+_INVALID_NUMBERS = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "abc", "1e", ""])
+                    | st.floats(-1e6, -1e-6).map(repr)
+                    | st.integers(-10 ** 6, -1).map(str))
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(list(_SMALL_RUNS)),
+       key=st.sampled_from(["alpha", "beta", "T", "gamma_cap", "grid_n", "paths", "h",
+                            "threshold"]),
+       value=_INVALID_NUMBERS)
+def test_invalid_number_exit_config(command, key, value, tmp_path_factory):
+    # every numeric key set to a value invalid for it (a key the command does
+    # not take is an unknown flag) ends in exit 2 with a message, never in 0,
+    # 1 or a traceback
+    flags = dict(_SMALL_RUNS[command], **{key: value})
+    argv = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+    argv.append(f"--out={tmp_path_factory.mktemp('run') / 'run'}")
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"LAYERLAB_THREADS": "1"}), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = entrypoint(argv)
+        except SystemExit as exc:     # argparse rejects a value it cannot parse
+            code = exc.code
+    assert code == EXIT_CONFIG, (argv, err.getvalue())
+    assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_tail_process_from_config_checked(tmp_path):

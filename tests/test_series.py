@@ -14,7 +14,7 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       layered_law, mixed_law, rejection_law,
                       stable_drift_constant, stable_law, stable_path)
 from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, _assemble,
-                             _general_centering_sum)
+                             _general_centering_sum, _grid_cells)
 
 
 def _single_term_draw(gamma=1.0, T=1.0, time=0.4, direction=(1.0,)):
@@ -50,9 +50,10 @@ def test_draw_validation():
         ShotNoiseDraw(T=1.0, gammas=np.array([2.0, 1.0]),
                       times=np.array([0.1, 0.2]),
                       directions=np.array([[1.0], [1.0]]))
-    with pytest.raises(ValueError):
-        ShotNoiseDraw(T=1.0, gammas=np.array([1.0]),
-                      times=np.array([1.5]), directions=np.array([[1.0]]))
+    for bad_time in (1.5, np.nan):
+        with pytest.raises(ValueError):
+            ShotNoiseDraw(T=1.0, gammas=np.array([1.0]),
+                          times=np.array([bad_time]), directions=np.array([[1.0]]))
 
 
 def test_stable_single_term_magnitude(sym1):
@@ -357,3 +358,32 @@ def test_coupled_paths_share_jump_times(sym1):
     a = stable_path(1.3, sym1, draw, grid)
     b = layered_path_canonical(1.3, 1.9, sym1, draw, grid)
     np.testing.assert_array_equal(a.jump_times, b.jump_times)
+
+
+@st.composite
+def _grid_and_times(draw):
+    # a make_grid grid, a strictly increasing non-uniform grid, or a uniform
+    # grid that ends before T; times uniform on [0, T] plus 0, T, every grid
+    # point and the floats next to grid points
+    T = draw(st.floats(1e-3, 1e3))
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "non-uniform", "short"]))
+    if kind == "uniform":
+        grid = make_grid(T, n)
+    elif kind == "non-uniform":
+        inner = np.unique(rng.uniform(0.0, T, n))
+        grid = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < T)], [T]))
+    else:
+        grid = make_grid(T * draw(st.floats(0.01, 0.99)), n)
+    near = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)))
+    times = np.concatenate((rng.uniform(0.0, T, 2000), [0.0, T], near))
+    return grid, times[(times >= 0.0) & (times <= T)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_and_times())
+def test_grid_cells_equal_searchsorted(case):
+    grid, times = case
+    np.testing.assert_array_equal(_grid_cells(grid, times),
+                                  np.searchsorted(grid, times, side="left"))
