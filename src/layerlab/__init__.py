@@ -24,6 +24,6 @@ from .series import (MixDistribution, SamplePath, SeriesLaw, ShotNoiseDraw,
 from .spherical import SphericalMeasure, parse_spherical_spec
 from .stats import (GaussianCF, IsotropicStableCF, LayeredQuadratureCF,
                     StableCF, cf_distance, default_y_grid, ecf,
-                    empirical_moment, hill_ci, hill_tail_index, p_variation)
+                    hill_ci, hill_tail_index, p_variation)
 
 __version__ = "0.1.0"

@@ -111,17 +111,21 @@ _DEFAULTS = {
 
 
 def _merge_config(args, keys) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The command's settings: defaults, then the config file, then flags.
+
+    keys are the settings the command reads from the result; a config file
+    may set those and no others.
+    """
+    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys}
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
-    unknown = set(cfg) - set(_DEFAULTS) - set(keys) - {
-        "mode", "h", "base", "mix", "out", "functional", "k", "threshold"}
+    unknown = set(cfg) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     return cfg
 
 

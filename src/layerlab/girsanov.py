@@ -82,9 +82,8 @@ def drift_compatibility(q: LayeredQ, sigma: SphericalMeasure, k0, k1,
 def required_drift_difference(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarray:
     """The case-exact value of k0 - k1 for mutual absolute continuity."""
     a = q.alpha
-    d = sigma.dimension
-    if sigma.is_uniform:
-        return np.zeros(d)
+    if a < 1.0:
+        return sigma.integrate(lambda xi: q.radial_moment(1, 0.0, 1.0, xi), 1)
 
     def correction(xi) -> float:
         # int_0^1 r (q - c1 r^{-alpha-1}) dr; identically zero for canonical q
@@ -98,22 +97,12 @@ def required_drift_difference(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarra
             raise RuntimeError("drift-correction quadrature did not converge")
         return val
 
-    if a < 1.0:
-        def inner(xi) -> float:
-            if q.is_canonical:
-                return 1.0 / (1.0 - a)
-            val, err = integrate.quad(lambda r: r * q.eval_q(r, xi), 0.0, 1.0,
-                                      epsabs=1e-10, epsrel=1e-10, limit=200)
-            if err > 1e-8 * max(1.0, abs(val)):
-                raise RuntimeError("drift quadrature did not converge")
-            return val
-        return np.sum([w * inner(xi) * xi
-                       for xi, w in zip(sigma.atoms, sigma.weights)], axis=0)
-    corr = np.sum([w * correction(xi) * xi
-                   for xi, w in zip(sigma.atoms, sigma.weights)], axis=0)
+    corr = sigma.integrate(correction, 1)
     if a == 1.0:
         return corr
     sigma1 = derive_sigma_pair(q, sigma).sigma1
+    if sigma1 is None:                  # a null sigma1 (c1 = 0) is the zero measure
+        return corr
     return sigma1.first_moment() / (a - 1.0) + corr
 
 
@@ -128,13 +117,8 @@ def nu_gap(q: LayeredQ, sigma: SphericalMeasure, eps: float) -> float:
         if eps <= 1.0:
             return m * (1.0 / q.beta - 1.0 / a)
         return m * (eps ** -q.beta / q.beta - eps ** -a / a)
-    layered = levy_tail_mass(q, sigma, eps)
-    if sigma.is_uniform:
-        stable = sigma.total_mass() * q.c1(None) * eps ** (-a) / a
-    else:
-        stable = sum(w * q.c1(xi) * eps ** (-a) / a
-                     for xi, w in zip(sigma.atoms, sigma.weights))
-    return layered - stable
+    stable = sigma.integrate(q.c1) * eps ** (-a) / a
+    return levy_tail_mass(q, sigma, eps) - stable
 
 
 def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import mc, stats
 from .qfunc import LayeredQ, derive_sigma_pair
@@ -45,38 +44,9 @@ class LimitSpec:
             raise ValueError("stable modes need an index in (0,2)")
 
 
-def _inner_r_integral(q: LayeredQ, xi) -> float:
-    """int_0^1 r q(r, xi) dr."""
-    if q.is_canonical:
-        if q.alpha >= 1.0:
-            raise ValueError("int_0^1 r q dr diverges for alpha >= 1")
-        return 1.0 / (1.0 - q.alpha)
-    val, err = integrate.quad(lambda r: r * q.eval_q(r, xi), 0.0, 1.0,
-                              epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise RuntimeError("inner radial quadrature did not converge")
-    return val
-
-
-def _outer_r_integral(q: LayeredQ, xi) -> float:
-    """int_1^oo r q(r, xi) dr."""
-    if q.beta <= 1.0:
-        raise ValueError("int_1^oo r q dr diverges for beta <= 1")
-    if q.is_canonical:
-        return 1.0 / (q.beta - 1.0)
-    val, err = integrate.quad(lambda r: r * q.eval_q(r, xi), 1.0, np.inf,
-                              epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise RuntimeError("outer radial quadrature did not converge")
-    return val
-
-
-def _weighted_direction_integral(sigma: SphericalMeasure, radial) -> np.ndarray:
-    """int xi * radial(xi) sigma(dxi) for a scalar radial functional."""
-    if sigma.is_uniform:
-        return np.zeros(sigma.dimension)
-    return np.sum([w * radial(xi) * xi
-                   for xi, w in zip(sigma.atoms, sigma.weights)], axis=0)
+def _jump_mean(q: LayeredQ, sigma: SphericalMeasure, lo: float, hi: float) -> np.ndarray:
+    """int z nu(dz) over lo < |z| < hi."""
+    return sigma.integrate(lambda xi: q.radial_moment(1, lo, hi, xi), 1)
 
 
 def short_time_constants(q: LayeredQ, sigma: SphericalMeasure):
@@ -84,16 +54,16 @@ def short_time_constants(q: LayeredQ, sigma: SphericalMeasure):
     a, b_idx = q.alpha, q.beta
     d = sigma.dimension
     if a < 1.0:
-        eta = _weighted_direction_integral(sigma, lambda xi: _inner_r_integral(q, xi))
+        eta = _jump_mean(q, sigma, 0.0, 1.0)
     elif a > 1.0 and b_idx > 1.0:
-        eta = -_weighted_direction_integral(sigma, lambda xi: _outer_r_integral(q, xi))
+        eta = -_jump_mean(q, sigma, 1.0, np.inf)
     else:
         eta = np.zeros(d)
+    b = np.zeros(d)
     if a > 1.0 and b_idx <= 1.0:
         sigma1 = derive_sigma_pair(q, sigma).sigma1
-        b = sigma1.first_moment() / (a - 1.0)
-    else:
-        b = np.zeros(d)
+        if sigma1 is not None:          # a null sigma1 (c1 = 0) leaves b = 0
+            b = sigma1.first_moment() / (a - 1.0)
     return eta, b
 
 
@@ -107,44 +77,23 @@ def long_time_constants(q: LayeredQ, sigma: SphericalMeasure):
     d = sigma.dimension
     if bt == 2.0:
         raise ValueError("beta = 2 admits no long-time limit")
-    if bt > 2.0:
-        eta = -_weighted_direction_integral(sigma, lambda xi: _outer_r_integral(q, xi))
-        return eta, np.zeros(d)
     if a < 1.0 and bt < 1.0:
-        eta = _weighted_direction_integral(sigma, lambda xi: _inner_r_integral(q, xi))
+        eta = _jump_mean(q, sigma, 0.0, 1.0)
     elif bt > 1.0:
-        eta = -_weighted_direction_integral(sigma, lambda xi: _outer_r_integral(q, xi))
+        eta = -_jump_mean(q, sigma, 1.0, np.inf)
     else:
         eta = np.zeros(d)
+    b = np.zeros(d)
     if a >= 1.0 and bt < 1.0:
         sigma2 = derive_sigma_pair(q, sigma).sigma2
-        b = sigma2.first_moment() / (1.0 - bt)
-    else:
-        b = np.zeros(d)
+        if sigma2 is not None:          # a null sigma2 (c2 = 0) leaves b = 0
+            b = sigma2.first_moment() / (1.0 - bt)
     return eta, b
 
 
 def gaussian_covariance(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarray:
     """Covariance of the beta > 2 Brownian limit: int zz' nu(dz)."""
-    if q.beta <= 2.0:
-        raise ValueError("second moment of the Levy measure diverges for beta <= 2")
-    if q.is_canonical:
-        radial = 1.0 / (2.0 - q.alpha) + 1.0 / (q.beta - 2.0)
-        return sigma.second_moment() * radial
-    if sigma.is_uniform:
-        val, err = integrate.quad(lambda r: r * r * q.eval_q(r, None), 0.0, np.inf,
-                                  epsabs=1e-10, epsrel=1e-10, limit=300)
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise RuntimeError("radial quadrature did not converge")
-        return (sigma.total_mass() / sigma.dimension) * val * np.eye(sigma.dimension)
-    total = np.zeros((sigma.dimension, sigma.dimension))
-    for xi, w in zip(sigma.atoms, sigma.weights):
-        val, err = integrate.quad(lambda r: r * r * q.eval_q(r, xi), 0.0, np.inf,
-                                  epsabs=1e-10, epsrel=1e-10, limit=300)
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise RuntimeError("radial quadrature did not converge")
-        total += w * val * np.outer(xi, xi)
-    return total
+    return sigma.integrate(lambda xi: q.radial_moment(2, 0.0, np.inf, xi), 2)
 
 
 def rescale_terminal(x, hT: float, spec: LimitSpec) -> np.ndarray:

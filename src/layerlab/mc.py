@@ -140,20 +140,10 @@ def _stable_radial(alpha: float, mass: float) -> _RadialLaw:
 
 
 def _canonical_radial(q: LayeredQ, mass: float) -> _RadialLaw:
-    a, b = q.alpha, q.beta
-
-    def small_var(c: float) -> float:
-        if c <= 1.0:
-            return c ** (2.0 - a) / (2.0 - a)
-        inner = 1.0 / (2.0 - a)
-        if b == 2.0:
-            return inner + np.log(c)
-        return inner + (c ** (2.0 - b) - 1.0) / (2.0 - b)
-
     return _RadialLaw(
         tail=lambda r: q.tail_integral(r),
-        inverse=lambda u: canonical_magnitudes(a, b, u, mass, 1.0),
-        small_var=small_var,
+        inverse=lambda u: canonical_magnitudes(q.alpha, q.beta, u, mass, 1.0),
+        small_var=lambda c: q.radial_moment(2, 0.0, c),
     )
 
 

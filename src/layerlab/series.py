@@ -96,10 +96,6 @@ class MixDistribution:
         values = np.asarray(values, dtype=float)
         return cls(values, np.full(len(values), 1.0 / len(values)))
 
-    def admissibility_cost(self) -> float:
-        """The integral of 1/(alpha(2-alpha)); finite for any discrete mix."""
-        return float(np.sum(self.probs / (self.atoms * (2.0 - self.atoms))))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.choice(len(self.atoms), size=n, p=self.probs)
         return self.atoms[idx]
@@ -313,19 +309,18 @@ def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
 def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
                        draw: ShotNoiseDraw) -> np.ndarray:
     # one array inverse per atom of a discrete measure, so one cached table
-    # per atom; a direction that is no atom (the continuous draws of a
-    # uniform measure) keeps its own Brent search and builds no table
+    # per atom; on a uniform measure q is read at xi = None (a direction-free
+    # q, as SphericalMeasure.integrate takes it), so one table serves all jumps
     levels = draw.gammas / draw.T * q.tail_scale / sigma.total_mass()
-    mags = np.empty_like(levels)
-    rest = np.ones(len(levels), dtype=bool)
-    if not sigma.is_uniform:
-        for atom in sigma.atoms:
-            on_atom = rest & np.all(draw.directions == atom, axis=1)
-            if np.any(on_atom):
-                mags[on_atom] = q.inverse_tail(levels[on_atom], atom)
-                rest &= ~on_atom
-    for i in np.flatnonzero(rest):
-        mags[i] = q._bisect_inverse(float(levels[i]), draw.directions[i])
+    if sigma.is_uniform:
+        return q.inverse_tail(levels, None)
+    mags = np.full_like(levels, np.nan)
+    for atom in sigma.atoms:
+        on_atom = np.all(draw.directions == atom, axis=1)
+        if np.any(on_atom):
+            mags[on_atom] = q.inverse_tail(levels[on_atom], atom)
+    if np.isnan(mags).any():
+        raise ValueError("a jump direction is not an atom of the spherical measure")
     return mags
 
 

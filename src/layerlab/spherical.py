@@ -102,6 +102,24 @@ class SphericalMeasure:
             return (self.uniform_mass / self.dimension) * np.eye(self.dimension)
         return (self.atoms * self.weights[:, None]).T @ self.atoms
 
+    def integrate(self, radial, order: int = 0):
+        """int radial(xi) {1, xi, xi xi'} sigma(dxi) for order 0, 1 or 2.
+
+        radial maps a direction to a number.  A uniform measure reads
+        radial(None): an integrand on it is taken to be direction-free, so
+        order 1 is zero and radial is not called.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        if self.is_uniform:
+            if order == 1:
+                return np.zeros(self.dimension)
+            c = radial(None)
+            return c * self.total_mass() if order == 0 else c * self.second_moment()
+        basis = (lambda xi: 1.0, lambda xi: xi, lambda xi: np.outer(xi, xi))[order]
+        return np.sum([w * radial(xi) * basis(xi)
+                       for xi, w in zip(self.atoms, self.weights)], axis=0)
+
     def mean_direction(self) -> np.ndarray:
         """first_moment / total_mass; the z0 of the stable series centering."""
         return self.first_moment() / self.total_mass()

@@ -119,17 +119,6 @@ class GaussianCF:
         return complex(np.exp(-0.5 * y @ self.cov @ y))
 
 
-def _radial_moment(q: LayeredQ, k: int, r1: float, xi) -> float:
-    """int_0^{r1} r^k q(r) dr for k >= 2 (always convergent)."""
-    if q.is_canonical:
-        return r1 ** (k - q.alpha) / (k - q.alpha)
-    val, err = integrate.quad(lambda r: r ** k * q.eval_q(r, xi), 0.0, r1,
-                              epsabs=1e-12, epsrel=1e-10, limit=200)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise QuadratureError("radial moment quadrature did not converge")
-    return val
-
-
 def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
     """int_0^1 (e^{iar} - 1 - iar) q(r) dr.
 
@@ -142,7 +131,7 @@ def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
         return 0.0
     r1 = min(1e-2, 0.1 / max(abs(a), 1.0))
     # successive terms shrink by (a r1)^2 / ((2k+1)(2k+2)) <= 1e-2 / 42
-    m = {k: _radial_moment(q, k, r1, xi) for k in range(2, 7)}
+    m = {k: q.radial_moment(k, 0.0, r1, xi) for k in range(2, 7)}
     re = -a ** 2 / 2.0 * m[2] + a ** 4 / 24.0 * m[4] - a ** 6 / 720.0 * m[6]
     im = -a ** 3 / 6.0 * m[3] + a ** 5 / 120.0 * m[5]
     re_q, re_err = integrate.quad(
@@ -266,14 +255,6 @@ def hill_ci(magnitudes, k: int | None = None, n_boot: int = 200,
         boots[b] = hill_tail_index(rng.choice(x, size=n, replace=True), k)
     lo, hi = np.quantile(boots, [(1 - level) / 2.0, (1 + level) / 2.0])
     return est, float(lo), float(hi)
-
-
-def empirical_moment(samples, p: float) -> float:
-    """(1/N) sum ||X_k||^p."""
-    if p <= 0.0:
-        raise ValueError("moment order must be positive")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return float(np.mean(np.linalg.norm(samples, axis=1) ** p))
 
 
 def p_variation(path, p: float) -> float:

@@ -292,6 +292,51 @@ def test_invalid_number_exit_config(command, key, value, tmp_path_factory):
     assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
+# the settings each command reads from its config; the flags outside these
+# (mode, h, threshold, functional, k, out) come from the command line only
+_CONFIG_KEYS = {
+    "simulate": {"process", "alpha", "beta", "sigma", "T", "grid_n", "paths", "seed",
+                 "gamma_cap", "format", "base", "mix", "coupled"},
+    "rn": {"alpha", "beta", "sigma", "T", "grid_n", "paths", "seed", "gamma_cap"},
+    "limit-check": {"alpha", "beta", "sigma", "paths", "seed", "gamma_cap"},
+    "tail": {"process", "alpha", "beta", "sigma", "paths", "seed", "gamma_cap"},
+}
+_ANY_KEY = {"mode": "long", "h": "3", "threshold": "0.5", "functional": "one",
+            "k": "10", "out": "elsewhere", "T": "nan", "grid_n": "0", "format": "json",
+            "base": "outer", "mix": "0.8:1", "coupled": "stable:1.3",
+            "process": "stable", "alpha": "1.3", "beta": "1.9", "sigma": "uniform:2:1",
+            "paths": "3", "seed": "1", "gamma_cap": "50"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_key_the_command_does_not_read_exit_config(data, tmp_path_factory):
+    # a config key the command would ignore is an error, not a silent no-op
+    command = data.draw(st.sampled_from(sorted(_CONFIG_KEYS)))
+    key = data.draw(st.sampled_from(sorted(set(_ANY_KEY) - _CONFIG_KEYS[command])))
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(f"{key} = {_ANY_KEY[key]}\n")
+    argv = ([command, f"--config={cfg}"]
+            + [f"--{k.replace('_', '-')}={v}" for k, v in _SMALL_RUNS[command].items()]
+            + [f"--out={tmp / 'run'}"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = entrypoint(argv)
+    assert code == EXIT_CONFIG, (argv, key)
+    assert err.getvalue().startswith("error:") and key in err.getvalue()
+    assert [p.name for p in tmp.iterdir()] == ["run.cfg"]
+
+
+def test_config_keys_the_command_reads_are_accepted(tmp_path):
+    # every key of _CONFIG_KEYS[command] is read: the valid ones run to exit 0
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text("process = stable\nalpha = 1.5\nsigma = discrete:[(1):1,(-1):1]\n"
+                   "paths = 1000\nseed = 3\ngamma_cap = 50\n")
+    assert run("tail", "--config", str(cfg), "--out", str(tmp_path / "t.json")) == EXIT_OK
+    assert json.loads((tmp_path / "t.json").read_text())["nominal_index"] == 1.5
+
+
 def test_tail_process_from_config_checked(tmp_path):
     # the flag is limited to stable/layered; a config file must be too
     cfg = tmp_path / "tail.cfg"

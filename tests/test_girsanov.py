@@ -61,6 +61,15 @@ def test_required_drift_symmetric_vanishes(sym1):
     np.testing.assert_allclose(required_drift_difference(q, sym1), [0.0])
 
 
+def test_required_drift_null_sigma1(skew1):
+    # c1 = 0: only the correction int_0^1 r q dr, weighted by int xi sigma = 1
+    from scipy import integrate
+    q_fn = lambda r, xi: (1 + r) ** -1.3 * r ** -0.5
+    q = LayeredQ.custom(1.5, 0.8, q_fn, lambda xi: 0.0, lambda xi: 1.0)
+    ref, _ = integrate.quad(lambda r: r * q_fn(r, None), 0.0, 1.0)
+    np.testing.assert_allclose(required_drift_difference(q, skew1), [ref], rtol=1e-9)
+
+
 def test_nu_gap_closed_forms(sym1):
     q = LayeredQ.canonical(1.3, 1.9, 2.0)
     m = 2.0

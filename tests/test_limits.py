@@ -104,6 +104,16 @@ def test_gaussian_covariance_matches_quadrature():
                                gaussian_covariance(q, sigma), rtol=1e-8)
 
 
+def test_gaussian_covariance_custom_beta_function():
+    # blend q: int_0^oo r^2 q dr = B(2 - alpha, beta - 2), here B(0.3, 0.2); the
+    # slow r^-1.2 tail needs the quadrature split at r = 1 to reach 1e-12
+    from scipy.special import beta as beta_fn
+    from layerlab import blend_q
+    sigma = SphericalMeasure.symmetric_pair(1.0)
+    np.testing.assert_allclose(gaussian_covariance(blend_q(1.7, 2.2), sigma),
+                               [[beta_fn(0.3, 0.2)]], rtol=1e-12)
+
+
 def test_limit_spec_validation():
     with pytest.raises(ValueError):
         LimitSpec("bogus", 1.0, 1.3, np.zeros(1), np.zeros(1))
@@ -126,3 +136,26 @@ def test_rescale_terminal_long_sign():
     spec = LimitSpec(LONG_STABLE, 100.0, 1.9, np.array([0.0]), np.array([0.3]))
     out = rescale_terminal(np.array([[0.0]]), 100.0, spec)
     np.testing.assert_allclose(out, [[0.3]])
+
+
+def test_null_limit_measure_is_zero(skew1):
+    # c1 = 0 (q ~ r^-0.5 at 0) or c2 = 0 (q ~ r^-2.5 at infinity) make sigma1
+    # or sigma2 the zero measure, so b = 0
+    q1 = LayeredQ.custom(1.5, 0.8, lambda r, xi: (1 + r) ** -1.3 * r ** -0.5,
+                         lambda xi: 0.0, lambda xi: 1.0)
+    eta, b = short_time_constants(q1, skew1)
+    np.testing.assert_array_equal(eta, [0.0])
+    np.testing.assert_array_equal(b, [0.0])
+    q2 = LayeredQ.custom(1.5, 0.8, lambda r, xi: r ** -2.5,
+                         lambda xi: 1.0, lambda xi: 0.0)
+    eta, b = long_time_constants(q2, skew1)
+    np.testing.assert_array_equal(eta, [0.0])
+    np.testing.assert_array_equal(b, [0.0])
+
+
+def test_non_constant_c1_on_uniform_rejected():
+    c1 = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    q = LayeredQ.custom(1.5, 0.8, lambda r, xi: c1(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                        c1, lambda xi: 1.0)
+    with pytest.raises(ValueError, match="constant limit density"):
+        short_time_constants(q, SphericalMeasure.uniform(2, 1.0))

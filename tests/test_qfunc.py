@@ -191,3 +191,51 @@ def test_parse_q_spec():
     assert not q2.is_canonical
     with pytest.raises(ValueError):
         parse_q_spec("mystery:alpha=1", 2.0)
+
+
+def _as_custom(q):
+    # the canonical density written as a custom q, so it takes the quadrature
+    a, b = q.alpha, q.beta
+    return LayeredQ.custom(a, b, lambda r, xi: r ** (-a - 1.0) if r <= 1.0 else r ** (-b - 1.0),
+                           lambda xi: 1.0, lambda xi: 1.0)
+
+
+_MOMENT_RANGES = [(0.0, 1.0), (1.0, np.inf), (0.0, np.inf), (0.0, 1e-2),
+                  (0.3, np.inf), (4.0, np.inf)]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 4.5), (1.5, 2.5), (1.0, 2.0)])
+def test_radial_moment_closed_form_matches_quadrature(alpha, beta):
+    q = LayeredQ.canonical(alpha, beta, 2.0)
+    qc = _as_custom(q)
+    checked = 0
+    for k in (0, 1, 2, 4):
+        for lo, hi in _MOMENT_RANGES:
+            if (lo == 0.0 and k <= alpha) or (hi == np.inf and k >= beta):
+                continue
+            np.testing.assert_allclose(q.radial_moment(k, lo, hi),
+                                       qc.radial_moment(k, lo, hi), rtol=1e-9)
+            checked += 1
+    assert checked >= 6
+
+
+def test_radial_moment_log_pieces():
+    # k = alpha below r = 1 and k = beta above it integrate r^-1: a log
+    q = LayeredQ.canonical(1.0, 2.0, 2.0)
+    assert q.radial_moment(1, 0.3, 4.0) == pytest.approx(np.log(1 / 0.3) + 0.75, rel=1e-14)
+    assert q.radial_moment(2, 0.0, 4.0) == pytest.approx(1.0 + np.log(4.0), rel=1e-14)
+    qc = _as_custom(q)
+    for k, lo, hi in ((1, 0.3, 4.0), (2, 0.0, 4.0)):
+        np.testing.assert_allclose(q.radial_moment(k, lo, hi),
+                                   qc.radial_moment(k, lo, hi), rtol=1e-9)
+
+
+def test_radial_moment_divergence_raises():
+    q = LayeredQ.canonical(1.5, 2.5, 2.0)
+    for variant in (q, _as_custom(q)):
+        with pytest.raises(ValueError, match="diverges"):
+            variant.radial_moment(1, 0.0, 1.0)        # k <= alpha at 0
+        with pytest.raises(ValueError, match="diverges"):
+            variant.radial_moment(1.5, 0.0, 0.5)
+        with pytest.raises(ValueError, match="diverges"):
+            variant.radial_moment(2.5, 1.0, np.inf)   # k >= beta at infinity

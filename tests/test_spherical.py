@@ -97,3 +97,40 @@ def test_parse_uniform_spec():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_spherical_spec("nonsense:[1]")
+
+
+@pytest.mark.parametrize("sigma", [
+    SphericalMeasure.symmetric_pair(2.0),
+    SphericalMeasure.discrete(np.array([[1.0], [-1.0]]), np.array([2.0, 1.0])),
+    SphericalMeasure.discrete(np.array([[1.0, 0.0], [0.6, 0.8], [-0.28, 0.96]]),
+                              np.array([0.7, 1.3, 0.45])),
+    SphericalMeasure.uniform(2, 3.0),
+    SphericalMeasure.uniform(3, 1.7),
+])
+def test_integrate_constant_radial_gives_the_moments(sigma):
+    one = lambda xi: 1.0
+    assert sigma.integrate(one, 0) == pytest.approx(sigma.total_mass(), rel=1e-15)
+    np.testing.assert_allclose(sigma.integrate(one, 1), sigma.first_moment(),
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(sigma.integrate(one, 2), sigma.second_moment(),
+                               rtol=1e-15, atol=1e-15)
+
+
+def test_integrate_uniform_reads_xi_none():
+    sigma = SphericalMeasure.uniform(2, 3.0)
+    seen = []
+
+    def radial(xi):
+        seen.append(xi)
+        return 2.0
+
+    assert sigma.integrate(radial, 0) == 6.0
+    np.testing.assert_array_equal(sigma.integrate(radial, 2), 3.0 * np.eye(2))
+    assert seen == [None, None]
+
+    def never(xi):
+        raise AssertionError("order 1 on a uniform measure reads no radial value")
+
+    np.testing.assert_array_equal(sigma.integrate(never, 1), np.zeros(2))
+    with pytest.raises(ValueError):
+        sigma.integrate(radial, 3)

@@ -12,7 +12,7 @@ import pytest
 from layerlab import (GaussianCF, IsotropicStableCF, LayeredQ,
                       LayeredQuadratureCF, SamplePath, SphericalMeasure,
                       StableCF, cf_distance, default_y_grid, ecf,
-                      empirical_moment, hill_ci, hill_tail_index, make_grid,
+                      hill_ci, hill_tail_index, make_grid,
                       p_variation)
 
 
@@ -157,14 +157,6 @@ def test_hill_validation():
         hill_tail_index([1.0, 2.0, 3.0], k=3)
     with pytest.raises(ValueError):
         hill_tail_index(np.ones(10), k=3)
-
-
-def test_empirical_moment():
-    samples = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert empirical_moment(samples, 1.0) == 2.5
-    assert empirical_moment(samples, 2.0) == 12.5
-    with pytest.raises(ValueError):
-        empirical_moment(samples, 0.0)
 
 
 def test_p_variation():
