@@ -3,7 +3,9 @@
 Covers the three regimes: short-time inner-stable, long-time outer-stable,
 and long-time Gaussian (outer index above two).  Writes one CSV per regime
 with columns h, distance.  Each point is the `layerlab limit-check` routine
-(limits.limit_target_and_samples) on a symmetric measure.
+(limits.limit_target_and_samples: Gaussian-compensated terminals, exact
+above auto_r_cut's radius, so a point costs about the same at every
+horizon) on a symmetric measure; the routine takes asymmetric ones as well.
 
 Usage: python scripts/run_limit_sweep.py --paths 4000 --out-dir out/
 """

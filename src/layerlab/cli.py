@@ -223,8 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed",
-                               "gamma_cap"))
+    cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed"))
     _require(cfg, "layered")
     h = float(args.h)
     n_paths = int(cfg["paths"])
@@ -233,7 +232,7 @@ def cmd_limit_check(args) -> int:
         raise ConfigError(f"threshold must be positive and finite, got {threshold}")
     target, rescaled, spec = limits.limit_target_and_samples(
         float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
-        args.mode, h, n_paths, int(cfg["seed"]), float(cfg["gamma_cap"]))
+        args.mode, h, n_paths, int(cfg["seed"]))
     dist = stats.cf_distance(rescaled, target)
     report = {
         "mode": args.mode,
@@ -273,6 +272,8 @@ def cmd_tail(args) -> int:
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
+    if args.k is not None and not 0 < args.k < n_paths:
+        raise ConfigError(f"k = {args.k} must lie strictly between 0 and paths = {n_paths}")
     seed = int(cfg["seed"])
     law = _law(cfg, parse_spherical_spec(cfg["sigma"]))
     x = mc.terminals(law, n_paths, seed, gamma_cap=float(cfg["gamma_cap"]))
@@ -395,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kw):
         return sub.add_parser(name, allow_abbrev=False, **kw)
 
-    def common(p, grid=True):
+    def common(p, grid=True, cap=True):
         # grid: the command builds paths on a grid over [0, T] (simulate, rn);
-        # limit-check and tail take no --T or --grid-n, which they would ignore
+        # limit-check and tail take no --T or --grid-n, which they would ignore.
+        # cap: the command runs the truncated series; limit-check does not
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid-n", dest="grid_n", type=int)
         p.add_argument("--paths", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--gamma-cap", dest="gamma_cap", type=float)
+        if cap:
+            p.add_argument("--gamma-cap", dest="gamma_cap", type=float)
         p.add_argument("--out")
 
     p = add_parser("simulate", help="simulate sample paths to CSV or JSON")
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = add_parser("limit-check", help="verify a scaling-limit theorem")
-    common(p, grid=False)
+    common(p, grid=False, cap=False)
     p.add_argument("--mode", required=True, choices=("short", "long"))
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--threshold", type=float, default=0.07)

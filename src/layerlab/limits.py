@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc, stats
-from .qfunc import LayeredQ, derive_sigma_pair
+from .qfunc import LayeredQ, derive_sigma_pair, jump_mean
 from .spherical import SphericalMeasure
 
 SHORT_STABLE = "short"
@@ -44,19 +44,14 @@ class LimitSpec:
             raise ValueError("stable modes need an index in (0,2)")
 
 
-def _jump_mean(q: LayeredQ, sigma: SphericalMeasure, lo: float, hi: float) -> np.ndarray:
-    """int z nu(dz) over lo < |z| < hi."""
-    return sigma.integrate(lambda xi: q.radial_moment(1, lo, hi, xi), 1)
-
-
 def short_time_constants(q: LayeredQ, sigma: SphericalMeasure):
     """(eta, b) of the short-time theorem; limit law is stable(sigma1)."""
     a, b_idx = q.alpha, q.beta
     d = sigma.dimension
     if a < 1.0:
-        eta = _jump_mean(q, sigma, 0.0, 1.0)
+        eta = jump_mean(q, sigma, 0.0, 1.0)
     elif a > 1.0 and b_idx > 1.0:
-        eta = -_jump_mean(q, sigma, 1.0, np.inf)
+        eta = -jump_mean(q, sigma, 1.0, np.inf)
     else:
         eta = np.zeros(d)
     b = np.zeros(d)
@@ -78,9 +73,9 @@ def long_time_constants(q: LayeredQ, sigma: SphericalMeasure):
     if bt == 2.0:
         raise ValueError("beta = 2 admits no long-time limit")
     if a < 1.0 and bt < 1.0:
-        eta = _jump_mean(q, sigma, 0.0, 1.0)
+        eta = jump_mean(q, sigma, 0.0, 1.0)
     elif bt > 1.0:
-        eta = -_jump_mean(q, sigma, 1.0, np.inf)
+        eta = -jump_mean(q, sigma, 1.0, np.inf)
     else:
         eta = np.zeros(d)
     b = np.zeros(d)
@@ -110,20 +105,16 @@ def rescale_terminal(x, hT: float, spec: LimitSpec) -> np.ndarray:
 
 
 def limit_target_and_samples(alpha: float, beta: float, sigma: SphericalMeasure,
-                             mode: str, h: float, n_paths: int, seed: int,
-                             gamma_cap: float = 1e4):
+                             mode: str, h: float, n_paths: int, seed: int):
     """Limit law, rescaled canonical layered terminals X_h, and the LimitSpec.
 
     mode is "short" (inner alpha-stable limit) or "long" (outer beta-stable
-    limit for beta < 2, Brownian for beta > 2).  Symmetric measures use the
-    Gaussian-compensated sampler; asymmetric ones the centered series with
-    cap gamma_cap / min(h, 1).
+    limit for beta < 2, Brownian for beta > 2).  X_h comes from the
+    Gaussian-compensated sampler with auto_r_cut's radius, on a symmetric
+    or an asymmetric measure alike.
     """
     if n_paths < 1:
         raise ValueError(f"a limit check needs at least one path, got {n_paths}")
-    # the symmetric sampler never reads gamma_cap, so check it here
-    if not 0.0 < gamma_cap < np.inf:
-        raise ValueError(f"gamma_cap must be positive and finite, got {gamma_cap}")
     m = sigma.total_mass()
     q = LayeredQ.canonical(alpha, beta, m)
     if mode == "short":
@@ -140,10 +131,6 @@ def limit_target_and_samples(alpha: float, beta: float, sigma: SphericalMeasure,
             target = stats.GaussianCF(gaussian_covariance(q, sigma))
     else:
         raise ValueError(f"mode must be short or long, got {mode!r}")
-    if sigma.is_symmetric():
-        x = mc.layered_terminals_gaussian(alpha, beta, sigma, h, mc.auto_r_cut(q, m, h),
-                                          n_paths, seed)
-    else:
-        x = mc.layered_terminals(alpha, beta, sigma, n_paths, seed, T=h,
-                                 gamma_cap=gamma_cap / min(h, 1.0))
+    x = mc.layered_terminals_gaussian(alpha, beta, sigma, h, mc.auto_r_cut(q, m, h),
+                                      n_paths, seed)
     return target, rescale_terminal(x, h, spec), spec

@@ -4,10 +4,13 @@ big-jump sampler for regimes the raw series cannot reach.
 The series truncated at gamma_cap discards all jumps smaller than roughly
 (alpha gamma_cap / mass)^(-1/alpha); the variance thrown away scales like
 cap^(-(2-alpha)/alpha), which is hopeless for alpha near 2 or for long
-horizons.  For symmetric measures the sampler below instead draws every jump
-above a cut radius exactly (compound Poisson via the closed-form inverse
-tail) and replaces the small-jump remainder by a centered Gaussian with the
-matching covariance.  The leading error term is the fourth cumulant of the
+horizons.  The sampler below instead draws every jump above a cut radius
+exactly (compound Poisson via the closed-form canonical inverse tail) and
+replaces the small-jump remainder by a centered Gaussian with the matching
+covariance (Asmussen and Rosinski 2001; Cohen and Rosinski 2007 for d > 1).
+On an asymmetric measure it adds one drift, the mean of the jumps between
+the cut radius and 1, so that its law keeps the layered centering of the
+jumps up to radius 1.  The leading error term is the fourth cumulant of the
 discarded part, negligible once the cut radius is well below the Gaussian
 scale.
 """
@@ -16,12 +19,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .qfunc import LayeredQ
+from .qfunc import LayeredQ, jump_mean
 from .series import (MixDistribution, SeriesLaw, canonical_magnitudes, layered_law,
                      mixed_law, rejection_law, stable_law)
 from .spherical import SphericalMeasure
@@ -117,50 +119,29 @@ def auto_r_cut(q: LayeredQ, mass: float, horizon: float,
     """Cut radius aiming for ~target_jumps exact jumps per path, kept well
     below the small-jump Gaussian scale."""
     r = float(q.inverse_tail(target_jumps / horizon))
-    law = _canonical_radial(q, mass)
-    std = np.sqrt(horizon * mass * law.small_var(max(r, 1e-12)))
+    std = np.sqrt(horizon * mass * q.radial_moment(2, 0.0, max(r, 1e-12)))
     return min(r, 0.3 * std) if std > 0 else r
 
 
-@dataclass(frozen=True)
-class _RadialLaw:
-    """Radial tail machinery shared by the stable and canonical samplers."""
-
-    tail: Callable[[float], float]          # Q(r) per unit spherical mass
-    inverse: Callable[[float], float]       # inverse of u -> mass * Q(r)
-    small_var: Callable[[float], float]     # int_0^c r^2 q(r) dr
-
-
-def _stable_radial(alpha: float, mass: float) -> _RadialLaw:
-    return _RadialLaw(
-        tail=lambda r: r ** (-alpha) / alpha,
-        inverse=lambda u: (alpha * u / mass) ** (-1.0 / alpha),
-        small_var=lambda c: c ** (2.0 - alpha) / (2.0 - alpha),
-    )
-
-
-def _canonical_radial(q: LayeredQ, mass: float) -> _RadialLaw:
-    return _RadialLaw(
-        tail=lambda r: q.tail_integral(r),
-        inverse=lambda u: canonical_magnitudes(q.alpha, q.beta, u, mass, 1.0),
-        small_var=lambda c: q.radial_moment(2, 0.0, c),
-    )
-
-
-def _gaussian_compensated_terminals(law: _RadialLaw, sigma: SphericalMeasure,
+def _gaussian_compensated_terminals(q: LayeredQ, sigma: SphericalMeasure,
                                     horizon: float, r_cut: float, n_paths: int,
                                     seed: int,
                                     threads: int | None = None) -> np.ndarray:
-    if not sigma.is_symmetric():
-        raise ValueError("the Gaussian-compensated sampler needs a symmetric measure")
+    # q is canonical with mass sigma.total_mass(); an alpha-stable law is the
+    # canonical q with beta = alpha
     if r_cut <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and cut radius must be positive")
     m = sigma.total_mass()
     d = sigma.dimension
-    rate = horizon * m * law.tail(r_cut)
-    cov = horizon * law.small_var(r_cut) * sigma.second_moment()
+    tail = q.tail_integral(r_cut)
+    rate = horizon * m * tail
+    u_cut = m * tail
+    cov = horizon * q.radial_moment(2, 0.0, r_cut) * sigma.second_moment()
     chol = np.linalg.cholesky(cov + 1e-12 * max(np.trace(cov), 1e-30) * np.eye(d))
-    u_cut = m * law.tail(r_cut)
+    # the layered law centers the jumps up to 1; the sampler centers those up
+    # to r_cut, so it adds the mean of the jumps between the two radii
+    shift = None if sigma.is_symmetric() else horizon * (
+        jump_mean(q, sigma, 1.0, r_cut) - jump_mean(q, sigma, r_cut, 1.0))
 
     def one(ss, _i):
         rng = np.random.default_rng(ss)
@@ -168,10 +149,11 @@ def _gaussian_compensated_terminals(law: _RadialLaw, sigma: SphericalMeasure,
         total = chol @ rng.standard_normal(d)
         if n_big:
             # conditional law of a jump above r_cut: invert u ~ U(0, m Q(r_cut))
-            mags = np.atleast_1d(law.inverse(rng.uniform(0.0, u_cut, n_big)))
+            mags = canonical_magnitudes(q.alpha, q.beta,
+                                        rng.uniform(0.0, u_cut, n_big), m, 1.0)
             dirs = sigma.sample_directions(rng, n_big)
             total = total + mags @ dirs
-        return total
+        return total if shift is None else total + shift
 
     return run_paths(one, n_paths, seed, d, threads)
 
@@ -180,10 +162,12 @@ def stable_terminals_gaussian(alpha: float, sigma: SphericalMeasure,
                               horizon: float, r_cut: float, n_paths: int,
                               seed: int, threads: int | None = None) -> np.ndarray:
     """X_horizon of a symmetric alpha-stable process, exact above r_cut."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("need alpha in (0,2)")
-    law = _stable_radial(alpha, sigma.total_mass())
-    return _gaussian_compensated_terminals(law, sigma, horizon, r_cut,
+    # an asymmetric measure would need the centering of StableCF.series_marginal,
+    # which is not the truncation at 1 that the shift above restores
+    if not sigma.is_symmetric():
+        raise ValueError("the Gaussian-compensated stable sampler needs a symmetric measure")
+    q = LayeredQ.canonical(alpha, alpha, sigma.total_mass())
+    return _gaussian_compensated_terminals(q, sigma, horizon, r_cut,
                                            n_paths, seed, threads)
 
 
@@ -191,8 +175,11 @@ def layered_terminals_gaussian(alpha: float, beta: float,
                                sigma: SphericalMeasure, horizon: float,
                                r_cut: float, n_paths: int, seed: int,
                                threads: int | None = None) -> np.ndarray:
-    """X_horizon of a symmetric canonical layered process, exact above r_cut."""
+    """X_horizon of a canonical layered process, exact above r_cut.
+
+    The law is the layered one with the small jumps centered up to radius 1,
+    the law of the series and of LayeredQuadratureCF, on any measure.
+    """
     q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
-    law = _canonical_radial(q, sigma.total_mass())
-    return _gaussian_compensated_terminals(law, sigma, horizon, r_cut,
+    return _gaussian_compensated_terminals(q, sigma, horizon, r_cut,
                                            n_paths, seed, threads)

@@ -356,6 +356,11 @@ class LayeredQ:
         return self.inverse_tail(gamma_over_t * self.tail_scale / sigma_total_mass, xi)
 
 
+def jump_mean(q: LayeredQ, sigma, lo: float, hi: float) -> np.ndarray:
+    """int z nu(dz) over lo < |z| < hi, for nu(dr dxi) = q(r, xi) dr sigma(dxi)."""
+    return sigma.integrate(lambda xi: q.radial_moment(1, lo, hi, xi), 1)
+
+
 @dataclass(frozen=True)
 class DerivedSphericalPair:
     """The measures weighted by the inner and outer limit densities."""

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from ._special import EULER_GAMMA, zeta
-from .qfunc import LayeredQ, QuadratureError
+from .qfunc import LayeredQ
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
@@ -256,10 +255,12 @@ def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
                          sigma_mass: float, T: float) -> np.ndarray:
     """Vectorized inverse tail for the canonical two-layer q."""
     mT = sigma_mass * T
-    out = np.empty_like(gammas)
+    # the alpha branch over all arrivals, then the few beta-branch ones
+    # overwritten; for beta < alpha the alpha base is <= 0 on those few
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
     big = gammas <= mT / beta            # the beta branch carries the large jumps
     out[big] = (beta * gammas[big] / mT) ** (-1.0 / beta)
-    out[~big] = (alpha * gammas[~big] / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
     return out
 
 
@@ -287,23 +288,11 @@ def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
     # sum over i <= n of b_i = int_{i-1}^i E[ q_inv(s/T, V) V 1(q_inv <= 1) ] ds,
     # computed atom by atom.  Substituting s = T m Q(r, xi) turns the s-integral
     # int_{s*}^n q_inv(s/T) ds, with s* = T m Q(1, xi), into
-    # T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T): one inverse and one
-    # quadrature in log r, under the tolerances of the s-integral
+    # T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T), a radial moment
+    # (zero once r_n >= 1)
     m = sigma.total_mass()
-    mT = m * T
-    total = np.zeros(sigma.dimension)
-    for atom, w in zip(sigma.atoms, sigma.weights):
-        r_n = q.series_magnitude(n / T, m, atom)
-        if r_n >= 1.0:
-            continue
-        val, err = integrate.quad(
-            lambda t: np.exp(2.0 * t) * q.eval_q(np.exp(t), atom), np.log(r_n), 0.0,
-            epsabs=1e-8 / mT, epsrel=1e-10, limit=400)
-        val, err = mT * val, mT * err
-        if err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError("centering quadrature did not converge")
-        total += (w / m) * val * atom
-    return total
+    return T * sigma.integrate(
+        lambda xi: q.radial_moment(1, q.series_magnitude(n / T, m, xi), 1.0, xi), 1)
 
 
 def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,

@@ -146,20 +146,36 @@ def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
 
 
 def _outer_exponent(q: LayeredQ, a: float, xi) -> complex:
-    # int_1^oo (e^{iar} - 1) q(r) dr, the -1 term giving exactly -Q(1); the
-    # oscillatory parts use the QUADPACK Fourier transform on [1, oo)
+    """int_1^oo (e^{iar} - 1) q(r) dr.
+
+    Beyond R = max(1, 1/|a|) the -1 term gives exactly -Q(R) and the
+    oscillatory parts use the QUADPACK Fourier transform, which needs the
+    cycles of e^{iar} to be no longer than the decay of q: started at r = 1
+    it returns about 0 in place of Q(1) for |a| <= 1e-5.  For |a| < 1 the
+    stretch [1, R], under one radian, is a plain quadrature in log r.
+    """
     if a == 0.0:
         return 0.0
-    outer_mass = q.tail_integral(1.0, xi)
+    big = max(1.0, 1.0 / abs(a))
     dens = lambda r: q.eval_q(r, xi)
-    re, re_err = integrate.quad(dens, 1.0, np.inf, weight="cos", wvar=a, limit=400)
-    im, im_err = integrate.quad(dens, 1.0, np.inf, weight="sin", wvar=a, limit=400)
+    re, re_err = integrate.quad(dens, big, np.inf, weight="cos", wvar=a, limit=400)
+    im, im_err = integrate.quad(dens, big, np.inf, weight="sin", wvar=a, limit=400)
+    if big > 1.0:
+        # r q(r) at r = e^t; cos x - 1 as -2 sin^2(x/2), exact at small x
+        rq = lambda t: np.exp(t) * q.eval_q(np.exp(t), xi)
+        kw = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
+        re_in, re_in_err = integrate.quad(
+            lambda t: -2.0 * np.sin(0.5 * a * np.exp(t)) ** 2 * rq(t), 0.0, np.log(big), **kw)
+        im_in, im_in_err = integrate.quad(
+            lambda t: np.sin(a * np.exp(t)) * rq(t), 0.0, np.log(big), **kw)
+        re, re_err = re + re_in, re_err + re_in_err
+        im, im_err = im + im_in, im_err + im_in_err
     # QUADPACK's Fourier-transform error estimate is conservative; treat
     # anything below 5e-7 as converged (cross-checked against an independent
     # quadrature in the test suite at 1e-6)
     if re_err > 5e-7 or im_err > 5e-7:
         raise QuadratureError("outer CF quadrature did not converge")
-    return complex(re - outer_mass, im)
+    return complex(re - q.tail_integral(big, xi), im)
 
 
 class LayeredQuadratureCF:

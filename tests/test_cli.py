@@ -260,7 +260,7 @@ _SMALL_RUNS = {
     "rn": {"alpha": "1.3", "beta": "1.9", "T": "1", "gamma_cap": "100",
            "grid_n": "10", "paths": "2"},
     "limit-check": {"mode": "short", "h": "1e-3", "alpha": "1.3", "beta": "1.9",
-                    "gamma_cap": "100", "paths": "1", "threshold": "0.07"},
+                    "paths": "1", "threshold": "0.07"},
     "tail": {"process": "layered", "alpha": "1.3", "beta": "1.9",
              "gamma_cap": "100", "paths": "1000"},
 }
@@ -298,7 +298,7 @@ _CONFIG_KEYS = {
     "simulate": {"process", "alpha", "beta", "sigma", "T", "grid_n", "paths", "seed",
                  "gamma_cap", "format", "base", "mix", "coupled"},
     "rn": {"alpha", "beta", "sigma", "T", "grid_n", "paths", "seed", "gamma_cap"},
-    "limit-check": {"alpha", "beta", "sigma", "paths", "seed", "gamma_cap"},
+    "limit-check": {"alpha", "beta", "sigma", "paths", "seed"},
     "tail": {"process", "alpha", "beta", "sigma", "paths", "seed", "gamma_cap"},
 }
 _ANY_KEY = {"mode": "long", "h": "3", "threshold": "0.5", "functional": "one",
@@ -389,6 +389,30 @@ def test_limit_check_short(tmp_path):
     assert report["index"] == 0.7
 
 
+def test_limit_check_skewed_long_horizon(tmp_path):
+    # an asymmetric measure at h = 1e4 runs on the compensated sampler (the
+    # series at cap 1e4 / min(h, 1) was over the arrival budget and exited 2)
+    out = tmp_path / "limit.json"
+    code = run("limit-check", "--mode", "long", "--h", "1e4", "--alpha", "1.3",
+               "--beta", "1.9", "--sigma", "discrete:[(1):2,(-1):1]", "--paths", "200",
+               "--seed", "4", "--out", str(out))
+    report = json.loads(out.read_text())
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert code == (EXIT_OK if report["pass"] else EXIT_CHECK_FAILED)
+    assert np.isfinite(report["distance"])
+
+
+def test_limit_check_takes_no_gamma_cap(tmp_path, capsys):
+    # limit-check runs no truncated series, so --gamma-cap is an unknown flag
+    out = tmp_path / "limit.json"
+    with pytest.raises(SystemExit) as exc:
+        run("limit-check", "--mode", "short", "--h", "1e-3", "--alpha", "1.3",
+            "--beta", "1.9", "--paths", "10", "--gamma-cap", "100", "--out", str(out))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --gamma-cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit_check_zero_paths_rejected(tmp_path):
     out = tmp_path / "limit.json"
     assert run("limit-check", "--mode", "short", "--h", "1e-3",
@@ -415,6 +439,21 @@ def test_tail_validation():
     assert run("tail", "--process", "stable", "--alpha", "1.3",
                "--paths", "1000", "--k", "1000",
                "--gamma-cap", "100") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("k", ["0", "-3", "1000", "5000"])
+def test_tail_k_checked_before_sampling(k, monkeypatch, tmp_path):
+    # 0 < k < paths is checked before any path is drawn
+    import layerlab.mc as mc
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("tail sampled paths before checking k")
+
+    monkeypatch.setattr(mc, "terminals", no_sampling)
+    out = tmp_path / "tail.json"
+    assert run("tail", "--process", "stable", "--alpha", "1.3", "--paths", "1000",
+               "--k", k, "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_tail_report(tmp_path):

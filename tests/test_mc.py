@@ -10,8 +10,8 @@ import pytest
 
 import layerlab.mc as mc
 from layerlab import (LayeredQ, LayeredQuadratureCF, MixDistribution,
-                      SphericalMeasure, StableCF, cf_distance,
-                      draw_shot_noise, layered_path_canonical,
+                      SphericalMeasure, StableCF, auto_r_cut, cf_distance,
+                      default_y_grid, draw_shot_noise, layered_path_canonical,
                       layered_path_rejection, layered_terminals,
                       layered_terminals_gaussian, mixed_path, mixed_terminals,
                       rejection_terminals, run_paths, stable_path,
@@ -152,6 +152,45 @@ def test_layered_samplers_agree_in_law(sym1):
                                        r_cut=1e-3, n_paths=3000, seed=4)
     assert cf_distance(series, target) < 0.08
     assert cf_distance(gauss, target) < 0.08
+
+
+def _skew2():
+    """Asymmetric three-atom measure on S^1 with total mass 2."""
+    return SphericalMeasure.discrete(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
+                                     np.array([1.0, 0.6, 0.4]))
+
+
+# (measure, sampler, horizon h, paths, seed); fixed before the first run,
+# like the 5/sqrt(paths) threshold below
+SKEWED_LAW_CASES = [
+    ("skew1", "series", 1.0, 4000, 1101),
+    ("skew1", "compensated", 1.0, 10000, 1102),
+    ("skew1", "compensated", 1e3, 10000, 1103),
+    ("skew2", "series", 1.0, 4000, 1104),
+    ("skew2", "compensated", 1.0, 4000, 1105),
+    ("skew2", "compensated", 1e3, 4000, 1106),
+]
+
+
+@pytest.mark.parametrize("measure, sampler, h, n, seed", SKEWED_LAW_CASES)
+def test_skewed_layered_terminals_match_exact_horizon_law(measure, sampler, h, n,
+                                                          seed, skew1):
+    # X_h on an asymmetric measure against the exact law at horizon h, the
+    # quadrature CF of the measure h*sigma, both read at the scale
+    # s = h^(-1/beta); at h = 1e3 the uncentered mean of s X_h is ~30, so a
+    # wrong drift in the compensated sampler shows at once
+    alpha, beta = 1.3, 1.9
+    sigma = skew1 if measure == "skew1" else _skew2()
+    q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
+    if sampler == "series":
+        x = layered_terminals(alpha, beta, sigma, n, seed, T=h)
+    else:
+        r_cut = auto_r_cut(q, sigma.total_mass(), h)
+        x = layered_terminals_gaussian(alpha, beta, sigma, h, r_cut, n, seed)
+    exact = LayeredQuadratureCF(q, sigma.scaled(h))
+    s = h ** (-1.0 / beta)
+    y_grid = default_y_grid(2, n=11) if sigma.dimension == 2 else None
+    assert cf_distance(s * x, lambda y: exact(s * y), y_grid) < 5.0 / np.sqrt(n)
 
 
 def test_gaussian_sampler_rejects_asymmetric(skew1):

@@ -162,7 +162,7 @@ def test_general_custom_runs(sym1):
 
 
 def test_general_asymmetric_centering(skew1):
-    # the quadrature centering used for custom q, run on a canonical q,
+    # the radial-moment centering used for custom q, run on a canonical q,
     # against the closed form the path builders use for canonical q
     q = LayeredQ.canonical(1.3, 1.9, 3.0)
     draw = draw_shot_noise(11, 1.0, skew1, 500.0)
@@ -173,7 +173,7 @@ def test_general_asymmetric_centering(skew1):
 
 
 def test_general_centering_substitution_matches_s_integral(skew1):
-    # the log-r quadrature against the s-space integral it replaces,
+    # the radial moment against the s-space integral it replaces,
     # int_{s*}^n q_inv(s/T) ds per atom
     from scipy import integrate
 
@@ -195,12 +195,15 @@ def test_general_centering_substitution_matches_s_integral(skew1):
 
 
 def test_general_centering_nonconvergence_raises(skew1, monkeypatch):
-    import layerlab.series as series
-    from layerlab import QuadratureError
+    # the centering is a radial moment of the custom q; its quadrature failing
+    # raises (the inverse-tail tables are built before quad is broken)
+    import layerlab.qfunc as qfunc
+    from layerlab import QuadratureError, blend_q
 
-    monkeypatch.setattr(series.integrate, "quad", lambda *a, **k: (1.0, 1.0))
-    q = LayeredQ.canonical(1.3, 1.9, 3.0)
-    with pytest.raises(QuadratureError, match="centering quadrature"):
+    q = blend_q(1.3, 1.9)
+    _general_centering_sum(q, skew1, 100, 1.0)
+    monkeypatch.setattr(qfunc.integrate, "quad", lambda *a, **k: (1.0, 1.0))
+    with pytest.raises(QuadratureError, match="radial moment of order 1"):
         _general_centering_sum(q, skew1, 100, 1.0)
     assert issubclass(QuadratureError, RuntimeError)
 

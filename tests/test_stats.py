@@ -89,6 +89,22 @@ def test_layered_cf_against_mpmath():
         assert abs(got - expect) < 1e-6
 
 
+def test_outer_exponent_at_small_frequency():
+    # for beta in (1,2) the outer exponent is i a m1 + O(|a|^beta) as a -> 0,
+    # m1 = 1/(beta-1); the Fourier quadrature started at r = 1 gave -Q(1)
+    # for |a| <= 1e-5, so a frequency meeting an atom at a rounding-level
+    # angle (y . xi = 4.4e-16 below) took a factor exp(-w Q(1)) in the CF
+    from layerlab.stats import _outer_exponent
+    q = LayeredQ.canonical(1.3, 1.9, 1.0)
+    for a in (1e-5, 1e-8, 4.4e-16, -1e-6):
+        assert abs(_outer_exponent(q, a, None) - 1j * a / 0.9) < 100 * abs(a) ** 1.9
+    one = SphericalMeasure.discrete(np.array([[1.0, 0.0]]), np.array([1.0]))
+    two = SphericalMeasure.discrete(np.array([[1.0, 0.0], [-0.6, -0.8]]),
+                                    np.array([1.0, 1.0]))
+    y = np.array([4.0, -3.0])
+    assert abs(LayeredQuadratureCF(q, two)(y) - LayeredQuadratureCF(q, one)(y)) < 1e-12
+
+
 def test_layered_cf_symmetric_real(sym1):
     q = LayeredQ.canonical(1.3, 1.9, 2.0)
     cf = LayeredQuadratureCF(q, sym1)
