@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .mc import substream
+from .mc import run_paths
 from .qfunc import LayeredQ, derive_sigma_pair, levy_tail_mass
 from .series import (SamplePath, ShotNoiseDraw, draw_shot_noise,
                      layered_path_canonical, make_grid, stable_path)
@@ -20,49 +20,51 @@ from .spherical import SphericalMeasure
 
 LOG_WEIGHT_CLIP = 500.0
 
-DEFAULT_EPS_SCHEDULE = tuple(0.5 ** k for k in range(21))   # 1, 1/2, ..., 2^-20
+EPS = 2.0 ** -20      # u_from_jumps sums the jumps above EPS
+
+
+def _norms(points: np.ndarray) -> np.ndarray:
+    # each row's own dot product, the rounding of np.linalg.norm on one vector
+    return np.sqrt((points[:, None, :] @ points[:, :, None]).ravel())
 
 
 @dataclass(frozen=True)
 class DensityRatio:
-    """The log density ratio phi between a layered and a stable Levy measure."""
+    """Log density ratios of a layered Levy measure to its stable references,
+    phi to the inner one (c1, alpha) and psi to the outer one (c2, beta).  Each
+    takes one point of shape (d,) and returns a float, or n points of shape
+    (n, d) and returns n values; a canonical q is closed form."""
 
     q: LayeredQ
-    c1_fn: Callable | None = None     # defaults to the q's own inner limit
 
-    def c1(self, xi) -> float:
-        return self.q.c1(xi) if self.c1_fn is None else float(self.c1_fn(xi))
-
-    def phi(self, z) -> float:
+    def phi(self, z):
         """ln( q(r, xi) / (c1(xi) r^{-alpha-1}) ) at z = r xi."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        r = float(np.linalg.norm(z))
-        if r == 0.0:
-            raise ValueError("phi is undefined at the origin")
-        xi = z / r
         q = self.q
-        if q.is_canonical and self.c1_fn is None:
-            # exactly the stable density inside the unit ball
-            return 0.0 if r <= 1.0 else (q.alpha - q.beta) * np.log(r)
-        c1 = self.c1(xi)
-        if c1 <= 0.0:
-            raise ValueError("phi is undefined where c1 vanishes")
-        return float(np.log(q.eval_q(r, xi) / (c1 * r ** (-q.alpha - 1.0))))
+        return self._log_ratio(z, "phi", q.c1, q.alpha, q.alpha - q.beta, True)
 
-    def psi(self, z) -> float:
+    def psi(self, z):
         """ln( q(r, xi) / (c2(xi) r^{-beta-1}) ), the outer-reference ratio."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        r = float(np.linalg.norm(z))
-        if r == 0.0:
-            raise ValueError("psi is undefined at the origin")
-        xi = z / r
+        q = self.q
+        return self._log_ratio(z, "psi", q.c2, q.beta, q.beta - q.alpha, False)
+
+    def _log_ratio(self, z, name, c, index, coef, beyond_one):
+        # a canonical q gives coef ln r beyond r = 1 (beyond_one) or up to it
+        z = np.asarray(z, dtype=float)
+        points = z.reshape(1, -1) if z.ndim < 2 else z
+        r = _norms(points)
+        if np.any(r == 0.0):
+            raise ValueError(f"{name} is undefined at the origin")
         q = self.q
         if q.is_canonical:
-            return 0.0 if r > 1.0 else (q.beta - q.alpha) * np.log(r)
-        c2 = q.c2(xi)
-        if c2 <= 0.0:
-            raise ValueError("psi is undefined where c2 vanishes")
-        return float(np.log(q.eval_q(r, xi) / (c2 * r ** (-q.beta - 1.0))))
+            vals = np.where((r > 1.0) == beyond_one, coef * np.log(r), 0.0)
+        else:
+            xis = points / r[:, None]
+            cs = [c(xi) for xi in xis]
+            if min(cs, default=1.0) <= 0.0:
+                raise ValueError(f"{name} is undefined where its reference density vanishes")
+            vals = np.array([np.log(q.eval_q(ri, xi) / (ci * ri ** (-index - 1.0)))
+                             for ri, xi, ci in zip(r.tolist(), xis, cs)])
+        return float(vals[0]) if z.ndim < 2 else vals
 
 
 def drift_compatibility(q: LayeredQ, sigma: SphericalMeasure, k0, k1,
@@ -121,40 +123,31 @@ def nu_gap(q: LayeredQ, sigma: SphericalMeasure, eps: float) -> float:
     return levy_tail_mass(q, sigma, eps) - stable
 
 
-def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float,
-                 eps_schedule=DEFAULT_EPS_SCHEDULE):
-    """Evaluate the Radon-Nikodym Levy process U_t from a path's jump list.
+def _jump_vectors(jumps, t: float) -> np.ndarray:
+    # the vectors of a (time, vector) jump list with time <= t, as (n, d)
+    kept = [v for tm, v in jumps if tm <= t]
+    return np.array(kept, dtype=float).reshape(len(kept), -1) if kept else np.empty((0, 1))
 
-    Returns (value at the smallest eps, Cauchy increment between the last two
-    eps levels); the increment certifies convergence of the compensated sum.
-    """
-    eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
-    if not eps_schedule or eps_schedule[-1] <= 0.0:
-        raise ValueError("eps schedule must be positive and nonempty")
-    times = np.asarray([tm for tm, _ in jumps], dtype=float)
-    vecs = np.asarray([np.atleast_1d(v) for tm, v in jumps], dtype=float)
-    if len(times):
-        mask = times <= t
-        times, vecs = times[mask], vecs[mask]
-    mags = np.linalg.norm(vecs, axis=1) if len(vecs) else np.empty(0)
-    values = []
-    for eps in eps_schedule:
-        keep = mags > eps
-        s = float(sum(ratio.phi(v) for v in vecs[keep]))
-        values.append(s - t * nu_gap(ratio.q, sigma, eps))
-    cauchy = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
-    return values[-1], cauchy
+
+def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float):
+    """Evaluate the Radon-Nikodym Levy process U_t from a path's jump list: phi
+    (one array call) summed over the jumps up to t above EPS in list order,
+    less t nu_gap(EPS).  Returns (U_t, |U_t - U_t at 2 EPS|); the Cauchy
+    increment certifies convergence of the compensated sum."""
+    vecs = _jump_vectors(jumps, t)
+    mags = _norms(vecs)
+    keep = mags > EPS
+    phis = ratio.phi(vecs[keep])
+    value, coarse = [sum(phis[mags[keep] > eps].tolist()) - t * nu_gap(ratio.q, sigma, eps)
+                     for eps in (EPS, 2.0 * EPS)]
+    return value, abs(value - coarse)
 
 
 def u_canonical(alpha: float, beta: float, sigma_mass: float, jumps,
                 t: float) -> float:
     """Closed-form U_t for the canonical q: only jumps above 1 contribute."""
-    total = 0.0
-    for tm, v in jumps:
-        if tm <= t:
-            r = float(np.linalg.norm(np.atleast_1d(v)))
-            if r > 1.0:
-                total += np.log(r)
+    r = _norms(_jump_vectors(jumps, t))
+    total = sum(np.log(r[r > 1.0]).tolist(), 0.0)
     return (alpha - beta) * total - t * (1.0 / beta - 1.0 / alpha) * sigma_mass
 
 
@@ -196,12 +189,13 @@ def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,
                    functional: str, n_paths: int, seed: int, T: float = 1.0,
                    grid_n: int = 200, gamma_cap: float = 1e4) -> dict:
     """Radon-Nikodym check of the canonical layered law against its stable
-    reference on shared series draws.
+    reference on shared series draws, as two run_paths batches on one thread.
 
     The report holds the means of e^{U'_T} and e^{-U''_T} (both should be 1),
     the functional's expectation under the layered law reweighted from stable
-    paths and estimated directly from an independent batch (seed + 777777),
-    and how many log weights were clipped at +-LOG_WEIGHT_CLIP.
+    paths and estimated directly from an independent batch (seed + 777777, the
+    same substreams at any LAYERLAB_THREADS), and how many log weights were
+    clipped at +-LOG_WEIGHT_CLIP.
     """
     if alpha == beta:
         raise ValueError("alpha = beta is a degenerate change of measure")
@@ -211,28 +205,29 @@ def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,
     f = _path_functional(functional)
     grid = make_grid(T, grid_n)
     m = sigma.total_mass()
-    w_prime = np.empty(n_paths)
-    w_dprime = np.empty(n_paths)
-    f_stable = np.empty(n_paths)
-    direct = np.empty(n_paths)
-    clip_count = 0
-    for i in range(n_paths):
-        draw = draw_shot_noise(substream(seed, i), T, sigma, gamma_cap)
-        lw_p = u_series(draw, alpha, beta, m, T, "prime")
-        lw_d = -u_series(draw, alpha, beta, m, T, "doubleprime")
-        clip_count += int(abs(lw_p) > LOG_WEIGHT_CLIP) + int(abs(lw_d) > LOG_WEIGHT_CLIP)
-        w_prime[i] = np.exp(np.clip(lw_p, -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP))
-        w_dprime[i] = np.exp(np.clip(lw_d, -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP))
-        f_stable[i] = f(stable_path(alpha, sigma, draw, grid))
-    for i in range(n_paths):
-        draw = draw_shot_noise(substream(seed + 777777, i), T, sigma, gamma_cap)
-        direct[i] = f(layered_path_canonical(alpha, beta, sigma, draw, grid))
+
+    def stable_side(ss, _i):
+        # U'_T, -U''_T (the log weights) and f of the stable path on one draw
+        draw = draw_shot_noise(ss, T, sigma, gamma_cap)
+        return (u_series(draw, alpha, beta, m, T, "prime"),
+                -u_series(draw, alpha, beta, m, T, "doubleprime"),
+                f(stable_path(alpha, sigma, draw, grid)))
+
+    def layered_side(ss, _i):
+        draw = draw_shot_noise(ss, T, sigma, gamma_cap)
+        return f(layered_path_canonical(alpha, beta, sigma, draw, grid))
+
+    # one thread: two run these short per-path calls slower than one
+    first = run_paths(stable_side, n_paths, seed, 3, threads=1)
+    direct = run_paths(layered_side, n_paths, seed + 777777, 1, threads=1)[:, 0]
+    clip_count = int(np.count_nonzero(np.abs(first[:, :2]) > LOG_WEIGHT_CLIP))
+    w_prime, w_dprime = np.exp(np.clip(first[:, :2], -LOG_WEIGHT_CLIP, LOG_WEIGHT_CLIP)).T
 
     def mean_se(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(len(v)))
 
     mean_w, se_w = mean_se(w_prime)
-    rw_est, rw_se = mean_se(w_prime * f_stable)
+    rw_est, rw_se = mean_se(w_prime * first[:, 2])
     di_est, di_se = mean_se(direct)
     return {
         "alpha": alpha,
@@ -283,15 +278,14 @@ def singularity_witness(ratio: DensityRatio, radii=None):
     q = ratio.q
     if q.alpha == q.beta:
         raise ValueError("alpha = beta is not singular")
-    if radii is None:
-        radii = np.logspace(-1, -8, 8)
-    vals = np.array([ratio.psi(np.array([r])) for r in radii])
+    radii = np.logspace(-1, -8, 8) if radii is None else np.asarray(radii, dtype=float)
+    vals = ratio.psi(radii[:, None])
     direction = "-inf" if q.alpha < q.beta else "+inf"
     failing = ("mass of {psi < -1} under the outer stable measure"
                if q.alpha < q.beta else
                "exponential integrability of psi over {psi > 1}")
     return {
-        "radii": np.asarray(radii, dtype=float),
+        "radii": radii,
         "psi": vals,
         "direction": direction,
         "failing_condition": failing,

@@ -28,6 +28,8 @@ from .series import (MixDistribution, SeriesLaw, canonical_magnitudes, layered_l
                      mixed_law, rejection_law, stable_law)
 from .spherical import SphericalMeasure
 
+MAX_RESULT_VALUES = 1e8    # the run-size budget of run_paths: 1e8 float64 results, 0.8 GB
+
 
 def worker_count() -> int:
     env = os.environ.get("LAYERLAB_THREADS")
@@ -51,6 +53,9 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
     threads = worker_count() if threads is None else threads
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if n_paths * d > MAX_RESULT_VALUES:
+        raise ValueError(f"{n_paths} paths x {d} values exceed the run-size budget "
+                         f"of {MAX_RESULT_VALUES:.0e} results (0.8 GB)")
     out = np.empty((n_paths, d))
     # results do not depend on the thread count, so capping it changes nothing
     threads = min(threads, os.cpu_count() or 1)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_canonical,
                       layered_path_rejection, make_grid, substream)
-from layerlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          entrypoint, write_csv)
+from layerlab.cli import (_DEFAULTS, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
+                          EXIT_OK, PROCESSES, entrypoint, write_csv)
 
 
 def run(*argv):
@@ -51,38 +51,94 @@ ROUND_TRIP_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", list(ROUND_TRIP_RUNS))
-def test_simulate_manifest_round_trip(name, tmp_path):
-    # the flag, config-file and manifest-replay routes write the same bytes
-    flags = ROUND_TRIP_RUNS[name] + ["--grid-n", "50", "--gamma-cap", "300",
-                                     "--seed", "11"]
+def _round_trip(tmp, flags):
+    """Run simulate from flags, from a config file of the same keys and from
+    a replay of the flag run's manifest; check that all three routes exit
+    alike and write the same bytes.  Returns the flag run's exit code,
+    manifest (None for a rejected run) and data files."""
 
     def simulate(route, *argv):
-        out = tmp_path / route
+        out = tmp / route
         out.mkdir()
-        assert run("simulate", *argv, "--out", str(out / "run")) == EXIT_OK
-        manifest = json.loads((out / "run.manifest.json").read_text())
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            [f.split("/")[-1] for f in manifest["files"]] + ["run.manifest.json"])
-        return manifest, {f.split("/")[-1]: open(f, "rb").read()
-                          for f in manifest["files"]}
+        code = run("simulate", *argv, "--out", str(out / "run"))
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        if code != EXIT_OK:
+            assert written == {}
+            return code, None, written
+        manifest = json.loads(written.pop("run.manifest.json"))
+        assert sorted(written) == sorted(f.split("/")[-1] for f in manifest["files"])
+        return code, manifest, written
 
     def config_file(route, items):
-        path = tmp_path / f"{route}.cfg"
+        path = tmp / f"{route}.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in items))
         return str(path)
 
-    manifest, first = simulate("flags", *flags)
+    pairs = [(flags[i].lstrip("-"), flags[i + 1]) for i in range(0, len(flags), 2)]
+    code, manifest, first = simulate("flags", *flags)
+    if manifest is not None:
+        replay = [(k, v) for k, v in manifest["config"].items() if v is not None]
+        if manifest["coupled"]:
+            replay.append(("coupled", manifest["coupled"]))
+    else:
+        # no manifest for a rejected run: replay the settings one would list,
+        # the defaults together with the keys given
+        replay = list({**{k: v for k, v in _DEFAULTS.items() if v is not None},
+                       **dict(pairs)}.items())
+    for route, items in (("file", pairs), ("replay", replay)):
+        assert simulate(route, "--config", config_file(route, items))[::2] == (code, first)
+    return code, manifest, first
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_RUNS))
+def test_simulate_manifest_round_trip(name, tmp_path):
+    # the fixed examples of the property below
+    code, manifest, first = _round_trip(
+        tmp_path, ROUND_TRIP_RUNS[name] + ["--grid-n", "50", "--gamma-cap", "300",
+                                           "--seed", "11"])
+    assert code == EXIT_OK
     assert len(first) == (2 if name == "coupled" else 1)
     assert manifest["truncation_bound"] > 0.0
-    pairs = [(flags[i].lstrip("-"), flags[i + 1]) for i in range(0, len(flags), 2)]
-    _, from_file = simulate("file", "--config", config_file("file", pairs))
-    replay = [(k, v) for k, v in manifest["config"].items() if v is not None]
-    if manifest["coupled"]:
-        replay.append(("coupled", manifest["coupled"]))
-    _, replayed = simulate("replay", "--config", config_file("replay", replay))
-    assert from_file == first
-    assert replayed == first
+
+
+@st.composite
+def _simulate_keys(draw):
+    # a process with its required keys, then any of the optional keys
+    process = draw(st.sampled_from(PROCESSES))
+    keys = {"process": process}
+    if process == "mixed":
+        keys["mix"] = draw(st.sampled_from(["0.8:0.5,1.5:0.5", "1.3:1"]))
+    else:
+        keys["alpha"] = draw(st.sampled_from(["0.7", "1", "1.3", "1.9"]))
+        if process != "stable":
+            keys["beta"] = draw(st.sampled_from(["0.8", "1.3", "1.9", "2.5"]))
+    keys["sigma"] = draw(st.sampled_from(["discrete:[(1):1,(-1):1]",
+                                          "discrete:[(1):2,(-1):1]", "uniform:2:1"]))
+    for key, values in (("format", ["csv", "json"]), ("base", ["inner", "outer"]),
+                        ("coupled", ["stable:1.3", "stable:0.8,stable:1.5"]),
+                        ("T", ["0.5", "1", "2"]), ("grid_n", ["1", "7", "30"]),
+                        ("gamma_cap", ["20", "100", "300"])):
+        if draw(st.booleans()):
+            keys[key] = draw(st.sampled_from(values))
+    keys["seed"] = str(draw(st.integers(0, 2 ** 31)))
+    if "gamma_cap" not in keys:        # keep every example small
+        keys["gamma_cap"] = "300"
+    return keys
+
+
+@settings(max_examples=25, deadline=None)
+@given(keys=_simulate_keys())
+def test_simulate_manifest_round_trip_property(keys, tmp_path_factory):
+    # any simulate keys: the three routes agree, and exit 2 exactly on the
+    # combinations the CLI refuses
+    flags = [a for k, v in keys.items() for a in (f"--{k.replace('_', '-')}", v)]
+    code, _, _ = _round_trip(tmp_path_factory.mktemp("rt"), flags)
+    rejected = keys["process"] in ("layered-rejection", "mixed") and (
+        keys["sigma"] == "discrete:[(1):2,(-1):1]"      # both need a symmetric measure
+        or keys["process"] == "layered-rejection" and (
+            float(keys["alpha"]) >= float(keys["beta"])
+            or keys.get("base") == "outer" and float(keys["beta"]) >= 2.0))
+    assert code == (EXIT_CONFIG if rejected else EXIT_OK), keys
 
 
 @pytest.mark.parametrize("argv,bound", [
@@ -116,6 +172,18 @@ def test_simulate_over_budget_cap_rejected(tmp_path, capsys):
     assert run("simulate", "--process", "stable", "--alpha", "1.3",
                "--gamma-cap", "1e12", "--out", str(tmp_path / "big")) == EXIT_CONFIG
     assert "budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", "--process", "stable", "--alpha", "1.5"),
+    ("rn", "--alpha", "1.3", "--beta", "1.9"),
+    ("limit-check", "--mode", "short", "--h", "1e-3", "--alpha", "1.3", "--beta", "1.9"),
+], ids=["tail", "rn", "limit-check"])
+def test_over_budget_paths_rejected(argv, tmp_path, capsys):
+    # run_paths refuses the size before allocating its result or drawing a path
+    assert run(*argv, "--paths", "1000000000", "--out", str(tmp_path / "r.json")) == EXIT_CONFIG
+    assert "run-size budget" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

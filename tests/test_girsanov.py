@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from layerlab import (DensityRatio, LayeredQ, SphericalMeasure,
+from layerlab import (DensityRatio, LayeredQ, SphericalMeasure, blend_q,
                       draw_shot_noise, drift_compatibility,
-                      layered_path_canonical, make_grid, nu_gap,
+                      layered_path_canonical, layered_path_general,
+                      make_grid, nu_gap,
                       required_drift_difference, rn_diagnostics,
                       singularity_witness, u_canonical, u_from_jumps,
                       u_levy_tail, u_series)
+from layerlab.girsanov import EPS
+
+UNIFORM2 = SphericalMeasure.uniform(2, 2.0)
+ATOMS3 = SphericalMeasure.discrete(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
+                                   np.array([1.0, 0.6, 0.4]))
 
 
 @pytest.fixture
@@ -34,6 +40,36 @@ def test_psi_canonical_closed_form(ratio):
 def test_phi_undefined_at_origin(ratio):
     with pytest.raises(ValueError):
         ratio.phi(np.array([0.0]))
+
+
+@pytest.mark.parametrize("sigma", [SphericalMeasure.symmetric_pair(2.0), UNIFORM2,
+                                   ATOMS3], ids=["d1", "uniform-d2", "3-atom-d2"])
+@pytest.mark.parametrize("custom", [False, True], ids=["canonical", "blend"])
+def test_phi_psi_on_arrays_equal_stacked_points(sigma, custom):
+    q = blend_q(1.3, 1.9) if custom else LayeredQ.canonical(1.3, 1.9,
+                                                            sigma.total_mass())
+    ratio = DensityRatio(q)
+    rng = np.random.default_rng(4)
+    radii = np.concatenate([np.logspace(-6, 6, 40), [1.0, np.nextafter(1.0, 2.0)]])
+    z = radii[:, None] * sigma.sample_directions(rng, len(radii))
+    for f in (ratio.phi, ratio.psi):
+        got = f(z)
+        assert got.shape == (len(z),)
+        np.testing.assert_array_equal(got, [f(p) for p in z])
+        assert isinstance(f(z[0]), float)
+        assert f(z[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [LayeredQ.canonical(1.3, 1.9, 2.0), blend_q(1.3, 1.9)],
+                         ids=["canonical", "blend"])
+def test_phi_psi_undefined_at_an_origin_row(q):
+    ratio = DensityRatio(q)
+    z = np.array([[0.5, 0.1], [0.0, 0.0], [2.0, -1.0]])
+    for f in (ratio.phi, ratio.psi):
+        with pytest.raises(ValueError, match="origin"):
+            f(z)
+        with pytest.raises(ValueError, match="origin"):
+            f(z[1])
 
 
 def test_required_drift_alpha_below_one():
@@ -96,6 +132,40 @@ def test_u_from_jumps_matches_closed_form(ratio, sym1):
         u_num, cauchy = u_from_jumps(ratio, sym1, path.jumps, 1.0)
         assert abs(u_num - u_ref) < 1e-10
         assert cauchy < 1e-12
+
+
+def _u_reference(ratio, sigma, jumps, t, eps):
+    # the jump sum U_t is defined by: phi of each jump up to t above eps, in
+    # list order, less t times the Levy-measure gap above eps
+    return (sum(ratio.phi(v) for tm, v in jumps if tm <= t and np.linalg.norm(v) > eps)
+            - t * nu_gap(ratio.q, sigma, eps))
+
+
+@pytest.mark.parametrize("case", ["blend-d1", "canonical-uniform-d2", "blend-uniform-d2"])
+def test_u_from_jumps_matches_per_jump_sum(case, sym1):
+    custom, sigma, cap = {"blend-d1": (True, sym1, 40.0),
+                          "canonical-uniform-d2": (False, UNIFORM2, 300.0),
+                          "blend-uniform-d2": (True, UNIFORM2, 40.0)}[case]
+    q = blend_q(1.3, 1.9) if custom else LayeredQ.canonical(1.3, 1.9, 2.0)
+    ratio = DensityRatio(q)
+    grid = make_grid(1.0, 4)
+    for seed in range(3):
+        path = layered_path_general(q, sigma, draw_shot_noise(seed, 1.0, sigma, cap), grid)
+        for t in (1.0, 0.5):
+            u, cauchy = u_from_jumps(ratio, sigma, path.jumps, t)
+            ref = _u_reference(ratio, sigma, path.jumps, t, EPS)
+            assert u == ref
+            assert cauchy == abs(ref - _u_reference(ratio, sigma, path.jumps, t, 2 * EPS))
+
+
+@pytest.mark.parametrize("jumps", [[], [(0.8, np.array([3.0])), (0.9, np.array([-0.2]))]],
+                         ids=["empty", "all-after-t"])
+def test_u_from_jumps_without_a_jump_up_to_t(jumps, ratio, sym1):
+    # only the compensator is left; below 1 the canonical gap does not depend
+    # on eps, so the Cauchy increment is exactly zero
+    t = 0.5
+    assert u_from_jumps(ratio, sym1, jumps, t) == (-t * nu_gap(ratio.q, sym1, EPS), 0.0)
+    assert u_canonical(1.3, 1.9, 2.0, jumps, t) == -t * (1 / 1.9 - 1 / 1.3) * 2.0
 
 
 def test_u_series_spec_term(sym1):
@@ -167,6 +237,15 @@ def test_rn_diagnostics_constant_functional(sym1):
         rn_diagnostics(1.3, 1.9, sym1, "bogus:1", 4, seed=3)
     with pytest.raises(ValueError):
         rn_diagnostics(1.5, 1.5, sym1, "one", 4, seed=3)
+
+
+def test_rn_diagnostics_independent_of_thread_count(monkeypatch, sym1):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LAYERLAB_THREADS", threads)
+        reports.append(rn_diagnostics(1.3, 1.9, sym1, "sup-exceeds:2", 60, seed=7,
+                                      grid_n=20, gamma_cap=300.0))
+    assert reports[0] == reports[1]
 
 
 def test_rn_weights_normalize(sym1):

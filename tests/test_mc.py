@@ -85,6 +85,19 @@ def test_run_paths_rejects_nonpositive_threads(monkeypatch, n_paths, threads):
     assert calls == []
 
 
+@pytest.mark.parametrize("n_paths,d", [(10 ** 9, 1),
+                                       (int(mc.MAX_RESULT_VALUES) + 1, 1),
+                                       (int(mc.MAX_RESULT_VALUES) // 2 + 1, 2)])
+def test_run_paths_refuses_over_budget(n_paths, d):
+    # the size n_paths * d is checked before the result array exists, so an
+    # over-budget run neither allocates nor calls fn
+    calls = []
+    with pytest.raises(ValueError, match="run-size budget"):
+        run_paths(lambda ss, i: calls.append(i) or np.zeros(d), n_paths,
+                  seed=5, d=d, threads=1)
+    assert calls == []
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAYERLAB_THREADS", "3")
     assert worker_count() == 3

@@ -63,18 +63,23 @@ def test_gaussian_cf():
 
 
 def _mp_layered_exponent(alpha, beta, a):
-    # int_0^oo (e^{iar} - 1 - iar 1(r<=1)) q(r) dr at 50 digits
+    # int_0^oo (e^{iar} - 1 - iar 1(r<=1)) q(r) dr at 50 digits; the outer
+    # piece is split at R = max(1, 1/|a|): a plain quadrature on [1, R], and
+    # quadosc only beyond R, where the oscillation has set in
     mpmath.mp.dps = 50
     al, be, aa = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(a)
+    R = max(mpmath.mpf(1), 1 / abs(aa))
     inner_re = mpmath.quad(
         lambda r: (mpmath.cos(aa * r) - 1) * r ** (-al - 1), [0, 1])
     inner_im = mpmath.quad(
         lambda r: (mpmath.sin(aa * r) - aa * r) * r ** (-al - 1), [0, 1])
-    outer_re = mpmath.quadosc(
-        lambda r: (mpmath.cos(aa * r)) * r ** (-be - 1), [1, mpmath.inf],
-        omega=aa) - 1 / be
-    outer_im = mpmath.quadosc(
-        lambda r: mpmath.sin(aa * r) * r ** (-be - 1), [1, mpmath.inf],
+    outer_re = mpmath.quad(
+        lambda r: (mpmath.cos(aa * r) - 1) * r ** (-be - 1), [1, R]) + mpmath.quadosc(
+        lambda r: (mpmath.cos(aa * r)) * r ** (-be - 1), [R, mpmath.inf],
+        omega=aa) - R ** (-be) / be
+    outer_im = mpmath.quad(
+        lambda r: mpmath.sin(aa * r) * r ** (-be - 1), [1, R]) + mpmath.quadosc(
+        lambda r: mpmath.sin(aa * r) * r ** (-be - 1), [R, mpmath.inf],
         omega=aa)
     return complex(inner_re + outer_re, inner_im + outer_im)
 
@@ -83,7 +88,7 @@ def test_layered_cf_against_mpmath():
     sigma = SphericalMeasure.discrete(np.array([[1.0]]), np.array([1.0]))
     q = LayeredQ.canonical(1.3, 1.9, 1.0)
     cf = LayeredQuadratureCF(q, sigma)
-    for a in (0.5, 2.0, 7.0):
+    for a in (0.5, 2.0, 7.0, 1e-3):
         expect = np.exp(_mp_layered_exponent(1.3, 1.9, a))
         got = cf(np.array([a]))
         assert abs(got - expect) < 1e-6
