@@ -78,11 +78,10 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
 
 def terminals(law: SeriesLaw, n_paths: int, seed: int, T: float = 1.0,
               gamma_cap: float = 1e4, threads: int | None = None) -> np.ndarray:
-    """X_T of the law's series path on each per-path substream."""
-    grid = np.array([0.0, T])
+    """X_T of the law's series on each per-path substream, without a grid."""
 
     def one(ss, _i):
-        return law.path(law.draw(ss, T, gamma_cap), grid).terminal
+        return law.terminal(law.draw(ss, T, gamma_cap))
 
     return run_paths(one, n_paths, seed, law.sigma.dimension, threads)
 

@@ -6,13 +6,18 @@ directions {V_i}; only the magnitude map differs.  The series is truncated at
 the first arrival beyond gamma_cap * T, which bounds the largest discarded
 jump by the inverse tail evaluated at gamma_cap.
 
-Every builder hands its magnitudes to one assembly routine.  It never sorts
-the jump times: each jump goes into the grid cell that first sees it, the
-cells are summed in arrival order, and the path is the running sum of the
-cells plus the drift.  The cell of a jump is computed by arithmetic,
+Each process is one jump map: from a draw it gives the magnitudes, a drift
+and an optional keep mask (stable, layered, rejection and mixed).  A
+SeriesLaw reduces its jump map in one of two ways.  path(draw, grid), and
+each public path builder, assembles the path on a grid: it never sorts the
+jump times, puts each jump into the grid cell that first sees it, sums the
+cells in arrival order, and takes the running sum of the cells plus the
+drift.  The cell of a jump is computed by arithmetic,
 ceil(t (len(grid) - 1) / grid[-1]), and checked exactly against the grid;
 only a guess that fails the check is searched, so the cells equal
-np.searchsorted on any grid.
+np.searchsorted on any grid.  terminal(draw) builds no grid: it is the
+sequential sum of the kept jumps in arrival order plus T times the drift,
+the same floating-point operations as the path on [0, T] at its end.
 """
 
 from __future__ import annotations
@@ -28,10 +33,16 @@ from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
 
-# Largest expected arrival count gamma_cap * T of one draw.  A draw and its
-# assembly peak near 60 bytes per arrival in d = 1 and 105 in d = 3, so one
-# path stays near 2 GB; AC11 uses cap 1e6.
+# Largest expected arrival count times dimension, gamma_cap * T * d, of one
+# draw.  A draw and its assembly peak near 60 bytes per arrival in d = 1 and
+# 105 in d = 3, so one path stays near 2 GB; AC11 uses cap 1e6 in d = 1.
 MAX_ARRIVALS = 2e7
+
+# Largest grid-point count times dimension of one grid path.  make_grid and
+# _assemble hold about five arrays of that size (grid, cell sums, running
+# sums, drift line, values), near 40 bytes a value, so a path stays near
+# 0.4 GB; AC11 uses 3201 points in d = 1.
+MAX_GRID_VALUES = 1e7
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,9 @@ def make_grid(T: float, n: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_n = T."""
     if n < 1 or not 0.0 < T < np.inf:
         raise ValueError(f"need n >= 1 grid steps and a finite T > 0, got n={n}, T={T}")
+    if n + 1 > MAX_GRID_VALUES:
+        raise ValueError(f"{n} grid steps exceed the budget of "
+                         f"{MAX_GRID_VALUES:.0e} grid values per path")
     return np.linspace(0.0, T, n + 1)
 
 
@@ -138,9 +152,10 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
     """
     if not (gamma_cap > 0.0 and T > 0.0):
         raise ValueError(f"gamma_cap and T must be positive, got {gamma_cap} and {T}")
-    if gamma_cap * T > MAX_ARRIVALS:
-        raise ValueError(f"gamma_cap * T = {gamma_cap * T:.3g} exceeds the budget "
-                         f"of {MAX_ARRIVALS:.3g} arrivals per draw")
+    size = gamma_cap * T * sigma.dimension
+    if size > MAX_ARRIVALS:
+        raise ValueError(f"gamma_cap * T * dimension = {size:.3g} exceeds the budget "
+                         f"of {MAX_ARRIVALS:.3g} arrival values per draw")
     rng = np.random.default_rng(seed)
     cap = gamma_cap * T
     # draw exponential increments in blocks until the cumulative sum passes cap
@@ -156,7 +171,7 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
             break
         remaining = cap - total
     gammas = np.cumsum(np.concatenate(chunks))
-    gammas = gammas[gammas <= cap]
+    gammas = gammas[:np.searchsorted(gammas, cap, side="right")]    # increasing
     n = len(gammas)
     times = rng.uniform(0.0, T, n)
     directions = sigma.sample_directions(rng, n)
@@ -195,32 +210,61 @@ def _grid_cells(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
     return cell
 
 
+def _kept(draw: ShotNoiseDraw, mags, keep):
+    # the kept jumps' times, magnitudes and directions in arrival order: the
+    # keep mask (rejection) and the magnitude floor.  When every jump is kept
+    # (all laws but rejection, unless a magnitude is below the floor) the
+    # draw's arrays are used without a boolean copy
+    above_floor = mags >= _MAG_FLOOR
+    keep = above_floor if keep is None else keep & above_floor
+    if keep.all():
+        return draw.times, mags, draw.directions
+    return draw.times[keep], mags[keep], draw.directions[keep]
+
+
 def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SamplePath:
     # evaluate the truncated series on the grid without sorting the jumps:
     # each kept jump is binned into the first grid cell j with grid[j] >= T_i
     # (checked arithmetic, _grid_cells), the cells are summed in arrival
     # order and accumulated along the grid, and the drift is linear in t;
-    # jumps after grid[-1] land in a dropped bin.  When every jump is kept
-    # (all builders but rejection, unless a magnitude is below the floor)
-    # the draw's times and directions are used without a boolean copy
+    # jumps after grid[-1] land in a dropped bin
     grid = _check_grid(grid, draw.T)
-    above_floor = mags >= _MAG_FLOOR
-    keep = above_floor if keep is None else keep & above_floor
-    if keep.all():
-        vectors = mags[:, None] * draw.directions
-        times = draw.times
-    else:
-        vectors = mags[keep, None] * draw.directions[keep]
-        times = draw.times[keep]
     d = draw.directions.shape[1]
-    drift = np.zeros(d) if drift is None else drift
     n = len(grid)
+    if n * d > MAX_GRID_VALUES:
+        raise ValueError(f"{n} grid points x {d} dimensions exceed the budget of "
+                         f"{MAX_GRID_VALUES:.0e} grid values per path")
+    times, mags, directions = _kept(draw, mags, keep)
+    vectors = mags[:, None] * directions
+    drift = np.zeros(d) if drift is None else drift
     cell = _grid_cells(grid, times)
     sums = np.empty((n, d))
     for k in range(d):
         sums[:, k] = np.bincount(cell, weights=vectors[:, k], minlength=n + 1)[:n]
     values = np.cumsum(sums, axis=0) + np.outer(grid, drift)
     return SamplePath(grid=grid, values=values, jump_times=times, jump_vectors=vectors)
+
+
+def _terminal(draw: ShotNoiseDraw, mags, drift=None, keep=None) -> np.ndarray:
+    # the end value of _assemble's path on the grid [0, T] by the same
+    # floating-point operations, without the grid: bincount sums the jumps
+    # at t = 0 (cell 0) and the others (cell 1), each sequentially in
+    # arrival order from 0.0, and the running sum adds the two cells before
+    # T * drift.  cumsum is the sequential sum (np.sum is pairwise), and
+    # adding each part to 0.0 gives the signed zeros bincount gives
+    times, mags, directions = _kept(draw, mags, keep)
+    d = directions.shape[1]
+    drift = np.zeros(d) if drift is None else drift
+    at_zero = times == 0.0
+    cells = (at_zero, ~at_zero) if at_zero.any() else (slice(None),)
+    total = np.zeros(d)
+    for k in range(d):
+        column = mags * directions[:, k]
+        for cell in cells:
+            part = column[cell]
+            if len(part):
+                total[k] += np.cumsum(part)[-1]
+    return total + draw.T * drift
 
 
 def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
@@ -233,9 +277,7 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
     return (alpha / m) ** (-1.0 / alpha) * zeta(1.0 / alpha)
 
 
-def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
-                grid) -> SamplePath:
-    """Truncated shot-noise series of an alpha-stable path on [0, T]."""
+def _stable_jumps(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw):
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"stable index must lie in (0,2), got {alpha}")
     m = sigma.total_mass()
@@ -248,7 +290,13 @@ def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
             n = draw.cutoff_index
             comp = np.sum((alpha * np.arange(1, n + 1) / mT) ** (-1.0 / alpha))
             drift = (stable_drift_constant(alpha, m, draw.T) - comp) * z0 / draw.T
-    return _assemble(grid, draw, mags, drift)
+    return mags, drift, None
+
+
+def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
+                grid) -> SamplePath:
+    """Truncated shot-noise series of an alpha-stable path on [0, T]."""
+    return _assemble(grid, draw, *_stable_jumps(alpha, sigma, draw))
 
 
 def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
@@ -313,8 +361,7 @@ def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
     return mags
 
 
-def _layered_path(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw,
-                  grid) -> SamplePath:
+def _layered_jumps(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw):
     # canonical q: closed-form magnitudes and centering; custom q: tabled
     # inverse tail and quadrature centering
     m = sigma.total_mass()
@@ -330,20 +377,20 @@ def _layered_path(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw,
         mags = _custom_magnitudes(q, sigma, draw)
         if not sigma.is_symmetric():
             drift = -_general_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T
-    return _assemble(grid, draw, mags, drift)
+    return mags, drift, None
 
 
 def layered_path_canonical(alpha: float, beta: float, sigma: SphericalMeasure,
                            draw: ShotNoiseDraw, grid) -> SamplePath:
     """Series path of the canonical two-layer process."""
-    return _layered_path(LayeredQ.canonical(alpha, beta, sigma.total_mass()),
-                         sigma, draw, grid)
+    q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
+    return _assemble(grid, draw, *_layered_jumps(q, sigma, draw))
 
 
 def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
                          draw: ShotNoiseDraw, grid) -> SamplePath:
     """Series path for a general layered q (canonical or custom)."""
-    return _layered_path(q, sigma, draw, grid)
+    return _assemble(grid, draw, *_layered_jumps(q, sigma, draw))
 
 
 def _check_rejection(alpha: float, beta: float, base: str) -> None:
@@ -357,9 +404,8 @@ def _check_rejection(alpha: float, beta: float, base: str) -> None:
         raise ValueError("outer base needs a beta-stable series, beta < 2")
 
 
-def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
-                           draw: ShotNoiseDraw, base: str, grid) -> SamplePath:
-    """Layered path by thinning a stable series (inner or outer base)."""
+def _rejection_jumps(alpha: float, beta: float, sigma: SphericalMeasure,
+                     draw: ShotNoiseDraw, base: str):
     _check_rejection(alpha, beta, base)
     if draw.rejects is None:
         raise ValueError("draw carries no rejection uniforms")
@@ -372,12 +418,16 @@ def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
     else:
         cand = (beta * draw.gammas / mT) ** (-1.0 / beta)
         ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
-    return _assemble(grid, draw, cand, keep=draw.rejects <= ratio)
+    return cand, None, draw.rejects <= ratio
 
 
-def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
-               draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path whose i-th jump obeys the random stability index alpha_i."""
+def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
+                           draw: ShotNoiseDraw, base: str, grid) -> SamplePath:
+    """Layered path by thinning a stable series (inner or outer base)."""
+    return _assemble(grid, draw, *_rejection_jumps(alpha, beta, sigma, draw, base))
+
+
+def _mixed_jumps(sigma: SphericalMeasure, draw: ShotNoiseDraw):
     if draw.alphas is None:
         raise ValueError("draw carries no mixing indices")
     if not sigma.is_symmetric():
@@ -385,32 +435,47 @@ def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
     mT = sigma.total_mass() * draw.T
     a = draw.alphas
     mags = (a * draw.gammas / mT) ** (-1.0 / a)
-    return _assemble(grid, draw, mags)
+    return mags, None, None
+
+
+def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
+               draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path whose i-th jump obeys the random stability index alpha_i."""
+    return _assemble(grid, draw, *_mixed_jumps(sigma, draw))
 
 
 @dataclass(frozen=True)
 class SeriesLaw:
-    """One series process: path(draw, grid) calls its public builder, the
-    draw carries the draw_options the builder reads, and truncation_bound(cap)
-    bounds every term the cap discards (for rejection, the base series' terms;
-    for a mix, those of each atom)."""
+    """One series process as a jump map: jumps(draw) gives the magnitudes,
+    the drift (None for none) and the keep mask (None for all) of the draw,
+    which carries the draw_options the map reads.  path(draw, grid) assembles
+    them on a grid and terminal(draw) sums them at T without one.
+    truncation_bound(cap) bounds every term the cap discards (for rejection,
+    the base series' terms; for a mix, those of each atom)."""
 
     sigma: SphericalMeasure
-    path: Callable[[ShotNoiseDraw, np.ndarray], SamplePath]
+    jumps: Callable[[ShotNoiseDraw], tuple]
     truncation_bound: Callable[[float], float]
     draw_options: dict = field(default_factory=dict)
 
     def draw(self, seed, T: float, gamma_cap: float) -> ShotNoiseDraw:
         return draw_shot_noise(seed, T, self.sigma, gamma_cap, **self.draw_options)
 
+    def path(self, draw: ShotNoiseDraw, grid) -> SamplePath:
+        return _assemble(grid, draw, *self.jumps(draw))
+
+    def terminal(self, draw: ShotNoiseDraw) -> np.ndarray:
+        """X_T, equal byte for byte to path(draw, [0, T]).terminal."""
+        return _terminal(draw, *self.jumps(draw))
+
 
 def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
-    return SeriesLaw(sigma, lambda draw, grid: stable_path(alpha, sigma, draw, grid),
+    return SeriesLaw(sigma, lambda draw: _stable_jumps(alpha, sigma, draw),
                      lambda cap: (alpha * cap / sigma.total_mass()) ** (-1.0 / alpha))
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
-    return SeriesLaw(sigma, lambda draw, grid: layered_path_general(q, sigma, draw, grid),
+    return SeriesLaw(sigma, lambda draw: _layered_jumps(q, sigma, draw),
                      lambda cap: q.series_magnitude(cap, sigma.total_mass()))
 
 
@@ -418,12 +483,11 @@ def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
                   base: str) -> SeriesLaw:
     _check_rejection(alpha, beta, base)
     base_law = stable_law(alpha if base == "inner" else beta, sigma)
-    return SeriesLaw(
-        sigma, lambda draw, grid: layered_path_rejection(alpha, beta, sigma, draw, base, grid),
-        base_law.truncation_bound, {"with_rejects": True})
+    return SeriesLaw(sigma, lambda draw: _rejection_jumps(alpha, beta, sigma, draw, base),
+                     base_law.truncation_bound, {"with_rejects": True})
 
 
 def mixed_law(mix: MixDistribution, sigma: SphericalMeasure) -> SeriesLaw:
     bounds = [stable_law(a, sigma).truncation_bound for a in mix.atoms]
-    return SeriesLaw(sigma, lambda draw, grid: mixed_path(mix, sigma, draw, grid),
+    return SeriesLaw(sigma, lambda draw: _mixed_jumps(sigma, draw),
                      lambda cap: max(b(cap) for b in bounds), {"mix": mix})

@@ -13,6 +13,11 @@ import numpy as np
 
 _NORM_TOL = 1e-12
 
+# Largest dimension for which a d x d matrix is built (second moments,
+# covariances and their Cholesky factors).  At 4096 one matrix is 128 MB and
+# the compensated sampler holds about four; the acceptance battery uses d <= 3.
+MAX_MATRIX_DIMENSION = 4096
+
 
 @dataclass(frozen=True)
 class SphericalMeasure:
@@ -28,6 +33,7 @@ class SphericalMeasure:
     weights: np.ndarray | None = None    # (n,) positive
     uniform_mass: float | None = None
     _cum: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _table: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -58,7 +64,13 @@ class SphericalMeasure:
                 raise ValueError("atom directions must be unit vectors")
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "_cum", np.cumsum(weights))
+            cum = np.cumsum(weights)
+            # the interior cumulative weights, padded with +inf to a power of
+            # two (at least 2) for sample_directions' binary search
+            table = np.full(max(2, 1 << (len(cum) - 1).bit_length()), np.inf)
+            table[:len(cum) - 1] = cum[:-1]
+            object.__setattr__(self, "_cum", cum)
+            object.__setattr__(self, "_table", table)
 
     # -- constructors -------------------------------------------------
 
@@ -98,6 +110,7 @@ class SphericalMeasure:
 
     def second_moment(self) -> np.ndarray:
         """Integral of the outer product xi xi' over the measure."""
+        self._check_matrix_dimension()
         if self.is_uniform:
             return (self.uniform_mass / self.dimension) * np.eye(self.dimension)
         return (self.atoms * self.weights[:, None]).T @ self.atoms
@@ -111,6 +124,8 @@ class SphericalMeasure:
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        if order == 2:
+            self._check_matrix_dimension()
         if self.is_uniform:
             if order == 1:
                 return np.zeros(self.dimension)
@@ -119,6 +134,11 @@ class SphericalMeasure:
         basis = (lambda xi: 1.0, lambda xi: xi, lambda xi: np.outer(xi, xi))[order]
         return np.sum([w * radial(xi) * basis(xi)
                        for xi, w in zip(self.atoms, self.weights)], axis=0)
+
+    def _check_matrix_dimension(self) -> None:
+        if self.dimension > MAX_MATRIX_DIMENSION:
+            raise ValueError(f"dimension {self.dimension} exceeds the budget of "
+                             f"{MAX_MATRIX_DIMENSION} for a d x d matrix")
 
     def mean_direction(self) -> np.ndarray:
         """first_moment / total_mass; the z0 of the stable series centering."""
@@ -139,19 +159,42 @@ class SphericalMeasure:
     # -- sampling -----------------------------------------------------
 
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n iid directions from the normalized measure; shape (n, d)."""
+        """Draw n iid directions from the normalized measure; shape (n, d).
+
+        A uniform measure normalizes Gaussian vectors.  A discrete measure
+        draws u = U cum[-1] with U uniform on [0, 1) and takes the atom whose
+        index is the number of interior cumulative weights cum[:-1] that are
+        <= u, counted by the branch-free search _atom_index.  That index
+        equals np.searchsorted(cum, u, side="right"), since u < cum[-1]
+        whenever the total mass is a normal float.
+        """
         if self.is_uniform:
             g = rng.standard_normal((n, self.dimension))
             return g / np.linalg.norm(g, axis=1, keepdims=True)
         u = rng.random(n) * self._cum[-1]
-        idx = np.searchsorted(self._cum, u, side="right")
-        return self.atoms.take(idx, axis=0)
+        return self.atoms.take(_atom_index(self._table, u), axis=0)
 
     def scaled(self, factor) -> "SphericalMeasure":
         """New measure with weights multiplied by factor (scalar or per-atom)."""
         if self.is_uniform:
             return SphericalMeasure.uniform(self.dimension, self.uniform_mass * float(factor))
         return SphericalMeasure.discrete(self.atoms, self.weights * np.asarray(factor, float))
+
+
+def _atom_index(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of entries of table that are <= u, for each u.
+
+    table is sorted, its length a power of two (at least 2), and its last
+    entry +inf.  A binary search without branches: the first level compares
+    every u against one scalar, and each further level adds step where the
+    entry step - 1 past the current index is <= u.
+    """
+    step = len(table) // 2
+    idx = (table[step - 1] <= u) * step
+    while step > 1:
+        step //= 2
+        idx += (table[step - 1:].take(idx) <= u) * step
+    return idx
 
 
 def parse_spherical_spec(text: str) -> SphericalMeasure:

@@ -187,6 +187,30 @@ def test_over_budget_paths_rejected(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,unreached", [
+    (("simulate", "--grid-n", "2000000000"), (np, "linspace")),
+    (("rn", "--grid-n", "2000000000"), (np, "linspace")),
+    (("simulate", "--sigma", "uniform:100000000:2", "--gamma-cap", "10"),
+     (np.random, "default_rng")),
+    (("rn", "--sigma", "uniform:100000000:2", "--gamma-cap", "10"),
+     (np.random, "default_rng")),
+    (("limit-check", "--sigma", "uniform:100000:2", "--mode", "short", "--h", "1"),
+     (np, "eye")),
+], ids=["simulate-grid", "rn-grid", "simulate-dimension", "rn-dimension",
+        "limit-check-dimension"])
+def test_size_budgets_exit_config(argv, unreached, monkeypatch, tmp_path, capsys):
+    # grid steps, arrivals x dimension and the d x d second moment are each
+    # refused from their size, before the allocation the patch would catch
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{unreached[1]} reached before the budget check")
+
+    monkeypatch.setattr(*unreached, fail)
+    assert run(*argv, "--alpha", "1.3", "--beta", "1.9", "--paths", "10",
+               "--out", str(tmp_path / "r.json")) == EXIT_CONFIG
+    assert "budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_coupled_companions(tmp_path):
     out = tmp_path / "cp"
     args = ["simulate", "--process", "layered", "--alpha", "1.3",
@@ -420,7 +444,7 @@ def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
     def diverge(*args, **kwargs):
         raise QuadratureError("centering quadrature did not converge")
 
-    monkeypatch.setattr(series, "layered_path_general", diverge)
+    monkeypatch.setattr(series, "_layered_jumps", diverge)
     code = run("simulate", "--process", "layered", "--alpha", "1.3",
                "--beta", "1.9", "--grid-n", "10", "--gamma-cap", "100",
                "--out", str(tmp_path / "run"))

@@ -13,7 +13,8 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       layered_path_rejection, make_grid, mixed_path,
                       layered_law, mixed_law, rejection_law,
                       stable_drift_constant, stable_law, stable_path)
-from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, _assemble,
+from layerlab import series
+from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, MAX_GRID_VALUES, _assemble,
                              _general_centering_sum, _grid_cells)
 
 
@@ -344,6 +345,87 @@ def test_draw_budget_rejects_before_drawing(sym1):
         draw_shot_noise(0, 1.0, sym1, 10.0 * MAX_ARRIVALS)
     with pytest.raises(ValueError, match="budget"):
         draw_shot_noise(0, 4.0, sym1, MAX_ARRIVALS / 2.0)
+
+
+def _fail_if_reached(*args, **kwargs):
+    raise AssertionError("allocated before the budget check")
+
+
+def test_draw_budget_counts_dimension(monkeypatch):
+    # the budget is on arrivals x dimension, computed before the rng exists
+    monkeypatch.setattr(np.random, "default_rng", _fail_if_reached)
+    with pytest.raises(ValueError, match="budget"):
+        draw_shot_noise(0, 1.0, SphericalMeasure.uniform(10 ** 8, 2.0), 10.0)
+    with pytest.raises(ValueError, match="budget"):
+        draw_shot_noise(0, 1.0, SphericalMeasure.uniform(3, 2.0), MAX_ARRIVALS / 2.0)
+
+
+def test_grid_budget_rejects_before_allocating(monkeypatch):
+    monkeypatch.setattr(np, "linspace", _fail_if_reached)
+    for n in (int(MAX_GRID_VALUES), 2_000_000_000):
+        with pytest.raises(ValueError, match="budget"):
+            make_grid(1.0, n)
+    # on a path the budget counts grid points x dimension; the empty draw of
+    # dimension 10^4 holds nothing, so only the binning could allocate
+    monkeypatch.setattr(series, "_grid_cells", _fail_if_reached)
+    draw = ShotNoiseDraw(T=1.0, gammas=np.empty(0), times=np.empty(0),
+                         directions=np.empty((0, 10 ** 4)))
+    grid = np.arange(1001) / 1000.0
+    with pytest.raises(ValueError, match="budget"):
+        _assemble(grid, draw, np.empty(0))
+
+
+_TERMINAL_MEASURES = {
+    "symmetric": SphericalMeasure.symmetric_pair(2.0),
+    "skewed": SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0]),
+    "uniform-d2": SphericalMeasure.uniform(2, 2.0),
+    "three-atom-d2": SphericalMeasure.discrete([[1.0, 0.0], [-0.5, 0.8], [0.1, -1.0]],
+                                               [1.0, 0.7, 0.4]),
+}
+
+
+def _terminal_laws(sigma):
+    m = sigma.total_mass()
+    laws = {f"stable{a}": stable_law(a, sigma) for a in (0.5, 1.0, 1.5)}
+    laws["layered"] = layered_law(LayeredQ.canonical(1.3, 1.9, m), sigma)
+    laws["layered-beta-above-2"] = layered_law(LayeredQ.canonical(1.1, 2.5, m), sigma)
+    if sigma.is_symmetric():
+        laws["rejection-inner"] = rejection_law(1.3, 1.9, sigma, "inner")
+        laws["rejection-outer"] = rejection_law(1.3, 1.9, sigma, "outer")
+        laws["mixed"] = mixed_law(MixDistribution.uniform_on([0.8, 1.5]), sigma)
+    return laws
+
+
+def _hand_built_draws(sigma, rng):
+    # every third time at 0 and one at T; a draw whose last arrivals give
+    # stable-0.5 and mixed-0.8 magnitudes below the floor; no arrivals
+    T = 2.0
+    out = []
+    for gammas in (np.cumsum(rng.standard_exponential(300)),
+                   np.concatenate((np.cumsum(rng.standard_exponential(20)),
+                                   [1e160, 1e250, 1e300])),
+                   np.empty(0)):
+        n = len(gammas)
+        times = rng.uniform(0.0, T, n)
+        times[::3] = 0.0
+        times[1:2] = T
+        out.append(ShotNoiseDraw(
+            T=T, gammas=gammas, times=times, directions=sigma.sample_directions(rng, n),
+            rejects=rng.random(n), alphas=MixDistribution.uniform_on([0.8, 1.5]).sample(rng, n)))
+    return out
+
+
+@pytest.mark.parametrize("measure", list(_TERMINAL_MEASURES))
+def test_terminal_equals_path_end(measure):
+    # the grid-free terminal is the end of the path on [0, T], byte for byte:
+    # on drawn sequences (rejection masks included) and on hand-built ones
+    sigma = _TERMINAL_MEASURES[measure]
+    rng = np.random.default_rng(13)
+    for name, law in _terminal_laws(sigma).items():
+        draws = [law.draw(seed, 2.0, 300.0) for seed in range(3)]
+        for draw in draws + _hand_built_draws(sigma, rng):
+            end = law.path(draw, np.array([0.0, draw.T])).values[-1]
+            assert law.terminal(draw).tobytes() == end.tobytes(), name
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlab import SphericalMeasure, parse_spherical_spec
+from layerlab.spherical import MAX_MATRIX_DIMENSION, _atom_index
 
 
 def test_symmetric_pair_defaults():
@@ -65,6 +66,58 @@ def test_direction_sampling_weighted():
     rng = np.random.default_rng(8)
     dirs = s.sample_directions(rng, 100000)
     assert abs(np.mean(dirs[:, 0] > 0) - 0.75) < 0.01
+
+
+def _measure_of_weights(weights):
+    ang = np.linspace(0.0, 6.0, len(weights))
+    return SphericalMeasure.discrete(np.column_stack([np.cos(ang), np.sin(ang)]), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=300),
+       st.integers(0, 2 ** 32 - 1))
+def test_atom_index_equals_searchsorted(log_weights, seed):
+    # weights from 1e-12 to 1e12, so that some cumulative sums tie after
+    # rounding; u at 0, at every interior cumulative sum and the floats next
+    # to it, at (1 - 2^-53) cum[-1], and uniform on [0, cum[-1])
+    s = _measure_of_weights(10.0 ** np.array(log_weights))
+    cum = s._cum
+    inner = cum[:-1]
+    near = np.concatenate((inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)))
+    u = np.concatenate(([0.0, (1.0 - 2.0 ** -53) * cum[-1]], near,
+                        np.random.default_rng(seed).random(500) * cum[-1]))
+    u = u[(u >= 0.0) & (u < cum[-1])]
+    np.testing.assert_array_equal(_atom_index(s._table, u),
+                                  np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 64, 300])
+def test_sample_directions_equal_searchsorted_draw(n_atoms):
+    # the same rng stream gives the atoms the searchsorted draw gives
+    s = _measure_of_weights(np.random.default_rng(n_atoms).uniform(0.1, 5.0, n_atoms))
+    u = np.random.default_rng(4).random(10000) * s._cum[-1]
+    ref = s.atoms[np.searchsorted(s._cum, u, side="right")]
+    np.testing.assert_array_equal(s.sample_directions(np.random.default_rng(4), 10000), ref)
+
+
+def test_matrix_dimension_budget_checked_before_allocating(monkeypatch):
+    d = MAX_MATRIX_DIMENSION + 1
+    atoms = np.zeros((2, d))
+    atoms[:, 0] = (1.0, -1.0)
+    measures = (SphericalMeasure.uniform(d, 2.0), SphericalMeasure.discrete(atoms, [1.0, 1.0]))
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a d x d matrix was allocated")
+
+    monkeypatch.setattr(np, "eye", no_matrix)
+    monkeypatch.setattr(np, "outer", no_matrix)
+    for s in measures:
+        with pytest.raises(ValueError, match="budget"):
+            s.second_moment()
+        with pytest.raises(ValueError, match="budget"):
+            s.integrate(lambda xi: 1.0, 2)
+    # the first moment is a vector and stays available
+    assert measures[1].first_moment().shape == (d,)
 
 
 @settings(max_examples=30, deadline=None)
