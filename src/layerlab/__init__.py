@@ -13,8 +13,8 @@ from .mc import (auto_r_cut, layered_terminals, layered_terminals_gaussian,
                  mixed_terminals, rejection_terminals, run_paths,
                  stable_terminals, stable_terminals_gaussian, substream,
                  terminals, worker_count)
-from .qfunc import (DerivedSphericalPair, LayeredQ, QuadratureError, blend_q,
-                    derive_sigma_pair, levy_tail_mass, parse_q_spec)
+from .qfunc import (LayeredQ, QuadratureError, blend_q, levy_tail_mass,
+                    parse_q_spec)
 from .series import (MixDistribution, SamplePath, SeriesLaw, ShotNoiseDraw,
                      canonical_centering_sum, canonical_magnitudes,
                      draw_shot_noise, layered_law, layered_path_canonical,

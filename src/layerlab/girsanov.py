@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .mc import run_paths
-from .qfunc import LayeredQ, derive_sigma_pair, levy_tail_mass
+from .qfunc import LayeredQ, levy_tail_mass, limit_mean
 from .series import (SamplePath, ShotNoiseDraw, draw_shot_noise,
                      layered_path_canonical, make_grid, stable_path)
 from .spherical import SphericalMeasure
@@ -102,10 +102,7 @@ def required_drift_difference(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarra
     corr = sigma.integrate(correction, 1)
     if a == 1.0:
         return corr
-    sigma1 = derive_sigma_pair(q, sigma).sigma1
-    if sigma1 is None:                  # a null sigma1 (c1 = 0) is the zero measure
-        return corr
-    return sigma1.first_moment() / (a - 1.0) + corr
+    return limit_mean(q.c1, sigma) / (a - 1.0) + corr
 
 
 def nu_gap(q: LayeredQ, sigma: SphericalMeasure, eps: float) -> float:

@@ -8,12 +8,12 @@ sqrt(h) rescaling converges to a centered Brownian motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mc, stats
-from .qfunc import LayeredQ, derive_sigma_pair, jump_mean
+from .qfunc import LayeredQ, jump_mean, limit_mean
 from .spherical import SphericalMeasure
 
 SHORT_STABLE = "short"
@@ -30,7 +30,6 @@ class LimitSpec:
     index: float
     eta: np.ndarray
     b: np.ndarray
-    target: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.mode not in (SHORT_STABLE, LONG_STABLE, LONG_GAUSSIAN):
@@ -56,9 +55,7 @@ def short_time_constants(q: LayeredQ, sigma: SphericalMeasure):
         eta = np.zeros(d)
     b = np.zeros(d)
     if a > 1.0 and b_idx <= 1.0:
-        sigma1 = derive_sigma_pair(q, sigma).sigma1
-        if sigma1 is not None:          # a null sigma1 (c1 = 0) leaves b = 0
-            b = sigma1.first_moment() / (a - 1.0)
+        b = limit_mean(q.c1, sigma) / (a - 1.0)
     return eta, b
 
 
@@ -80,9 +77,7 @@ def long_time_constants(q: LayeredQ, sigma: SphericalMeasure):
         eta = np.zeros(d)
     b = np.zeros(d)
     if a >= 1.0 and bt < 1.0:
-        sigma2 = derive_sigma_pair(q, sigma).sigma2
-        if sigma2 is not None:          # a null sigma2 (c2 = 0) leaves b = 0
-            b = sigma2.first_moment() / (1.0 - bt)
+        b = limit_mean(q.c2, sigma) / (1.0 - bt)
     return eta, b
 
 

@@ -5,7 +5,7 @@ The canonical two-layer density is
     q(r) = r^(-alpha-1) on (0, 1],   r^(-beta-1) on (1, oo),
 
 independent of the direction, so its limit densities are c1 = c2 = 1 and the
-derived spherical measures coincide with the base measure.  The inverse tail
+limit measures c1 sigma, c2 sigma equal the base measure.  The inverse tail
 is taken with respect to the *mass-scaled* tail  u -> sigma_mass * Q(r),
 which is the mapping the shot-noise series inverts: with sigma_mass equal to
 the total mass of the accompanying spherical measure, the expected number of
@@ -361,36 +361,13 @@ def jump_mean(q: LayeredQ, sigma, lo: float, hi: float) -> np.ndarray:
     return sigma.integrate(lambda xi: q.radial_moment(1, lo, hi, xi), 1)
 
 
-@dataclass(frozen=True)
-class DerivedSphericalPair:
-    """The measures weighted by the inner and outer limit densities."""
-
-    sigma1: "SphericalMeasure"
-    sigma2: "SphericalMeasure"
-
-
-def derive_sigma_pair(q: LayeredQ, sigma) -> DerivedSphericalPair:
-    """sigma1(B) = int_B c1 d(sigma), sigma2(B) = int_B c2 d(sigma)."""
-    if q.is_canonical:
-        return DerivedSphericalPair(sigma, sigma)
+def limit_mean(c, sigma) -> np.ndarray:
+    """int xi c(xi) sigma(dxi): the first moment of the limit measure c sigma,
+    with c a limit density q.c1 or q.c2.  A uniform sigma needs c constant,
+    and then the moment is zero."""
     if sigma.is_uniform:
-        c1 = _constant_on_sphere(q.c1_fn, sigma.dimension)
-        c2 = _constant_on_sphere(q.c2_fn, sigma.dimension)
-        return DerivedSphericalPair(_scaled_or_null(sigma, c1), _scaled_or_null(sigma, c2))
-    w1 = np.array([q.c1(a) for a in sigma.atoms])
-    w2 = np.array([q.c2(a) for a in sigma.atoms])
-    return DerivedSphericalPair(_reweighted(sigma, w1), _reweighted(sigma, w2))
-
-
-def _reweighted(sigma, factors):
-    keep = factors > 0
-    if not np.any(keep):
-        return None
-    return type(sigma).discrete(sigma.atoms[keep], sigma.weights[keep] * factors[keep])
-
-
-def _scaled_or_null(sigma, c):
-    return sigma.scaled(c) if c > 0 else None
+        _constant_on_sphere(c, sigma.dimension)
+    return sigma.integrate(c, 1)
 
 
 def _constant_on_sphere(fn, d, n_probe: int = 8, tol: float = 1e-9) -> float:

@@ -1,8 +1,9 @@
 """Finite positive measures on the unit sphere S^{d-1}.
 
 These act as the spectral (direction) measures of all the jump processes:
-they are sampled for the jump directions V_i and their first/second moments
-enter every drift and covariance constant.
+they are sampled for the jump directions V_i, and every sum over them lives
+here: integrate gives the moments in every drift and covariance constant,
+and project the pairs behind the CF oracles' int f(<y, xi>) sigma(dxi).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 _NORM_TOL = 1e-12
 
@@ -39,8 +41,8 @@ class SphericalMeasure:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.uniform_mass is not None:
-            if self.uniform_mass <= 0:
-                raise ValueError("uniform measure needs positive total mass")
+            if not 0.0 < self.uniform_mass < np.inf:
+                raise ValueError("uniform measure needs a positive finite total mass")
             if self.atoms is not None:
                 raise ValueError("measure is either discrete or uniform, not both")
         else:
@@ -52,8 +54,13 @@ class SphericalMeasure:
                 raise ValueError("atoms and weights length mismatch")
             if atoms.shape[1] != self.dimension:
                 raise ValueError("atom dimension mismatch")
-            if np.any(weights <= 0):
-                raise ValueError("all weights must be strictly positive")
+            # a NaN weight fails both comparisons
+            with np.errstate(over="ignore"):
+                finite_total = np.sum(weights) < np.inf
+            if not (np.all(weights > 0) and finite_total):
+                raise ValueError("weights must be strictly positive with a finite total")
+            if not np.all(np.isfinite(atoms)):
+                raise ValueError("atom components must be finite")
             norms = np.linalg.norm(atoms, axis=1)
             if np.any(norms == 0):
                 raise ValueError("zero vector is not a direction")
@@ -135,6 +142,19 @@ class SphericalMeasure:
         return np.sum([w * radial(xi) * basis(xi)
                        for xi, w in zip(self.atoms, self.weights)], axis=0)
 
+    def project(self, y: np.ndarray, nodes: int):
+        """Pairs (a, w) with int f(<y, xi>) sigma(dxi) = sum_k w_k f(a_k).
+
+        Returns (a, w, atoms).  A discrete measure gives a = atoms @ y, its
+        weights and its atoms.  A uniform one gives a = |y| u_k and w = mass
+        w_k at the `nodes` Gauss-Jacobi nodes u_k of <e, xi>, and no atoms
+        (None): as in integrate, an integrand on it is direction-free.
+        """
+        if self.is_uniform:
+            u, w = _uniform_marginal_nodes(self.dimension, nodes)
+            return np.linalg.norm(y) * u, self.uniform_mass * w, None
+        return self.atoms @ y, self.weights, self.atoms
+
     def _check_matrix_dimension(self) -> None:
         if self.dimension > MAX_MATRIX_DIMENSION:
             raise ValueError(f"dimension {self.dimension} exceeds the budget of "
@@ -195,6 +215,20 @@ def _atom_index(table: np.ndarray, u: np.ndarray) -> np.ndarray:
         step //= 2
         idx += (table[step - 1:].take(idx) <= u) * step
     return idx
+
+
+def _uniform_marginal_nodes(d: int, n: int):
+    # nodes for u = <e, xi> with xi uniform on S^{d-1}; the marginal density
+    # (1 - u^2)^{(d-3)/2} is singular at the endpoints for d = 2, so use a
+    # Gauss-Jacobi rule on the positive half (weight (1-t)^p after t = 2u-1,
+    # the smooth (1+u)^p factor folded into the weights) and mirror it
+    p = (d - 3) / 2.0
+    t, w = special.roots_jacobi(max(n // 2, 4), p, 0.0)
+    u = (t + 1.0) / 2.0
+    w = w * (1.0 + u) ** p
+    u = np.concatenate([-u[::-1], u])
+    w = np.concatenate([w[::-1], w])
+    return u, w / w.sum()
 
 
 def parse_spherical_spec(text: str) -> SphericalMeasure:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from ._special import EULER_GAMMA, isotropic_cf_constant, stable_cf_constant
 from .qfunc import LayeredQ, QuadratureError
@@ -24,20 +24,6 @@ def _as_vector(y, d: int) -> np.ndarray:
     if y.shape != (d,):
         raise ValueError(f"expected a vector in R^{d}, got shape {y.shape}")
     return y
-
-
-def _uniform_marginal_nodes(d: int, n: int = 96):
-    # nodes for u = <e, xi> with xi uniform on S^{d-1}; the marginal density
-    # (1 - u^2)^{(d-3)/2} is singular at the endpoints for d = 2, so use a
-    # Gauss-Jacobi rule on the positive half (weight (1-t)^p after t = 2u-1,
-    # the smooth (1+u)^p factor folded into the weights) and mirror it
-    p = (d - 3) / 2.0
-    t, w = special.roots_jacobi(max(n // 2, 4), p, 0.0)
-    u = (t + 1.0) / 2.0
-    w = w * (1.0 + u) ** p
-    u = np.concatenate([-u[::-1], u])
-    w = np.concatenate([w[::-1], w])
-    return u, w / w.sum()
 
 
 class StableCF:
@@ -61,28 +47,13 @@ class StableCF:
         return cls(alpha, sigma, eta)
 
     def _spherical_integral(self, y: np.ndarray) -> complex:
-        a1 = self.alpha == 1.0
-        if self.sigma.is_uniform:
-            u, w = _uniform_marginal_nodes(self.sigma.dimension)
-            a = np.linalg.norm(y) * u
-            mass = self.sigma.total_mass()
-            if a1:
-                re = np.abs(a)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    im = np.where(a == 0.0, 0.0,
-                                  (2.0 / np.pi) * a * np.log(np.abs(a)))
-            else:
-                re = np.abs(a) ** self.alpha
-                im = -np.tan(np.pi * self.alpha / 2.0) * np.sign(a) * re
-            return mass * complex(np.sum(w * re), np.sum(w * im))
-        a = self.sigma.atoms @ y
-        w = self.sigma.weights
-        if a1:
-            re = np.abs(a)
+        a, w, _ = self.sigma.project(y, 96)
+        re = np.abs(a)
+        if self.alpha == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                im = np.where(a == 0.0, 0.0, (2.0 / np.pi) * a * np.log(np.abs(a)))
+                im = np.where(a == 0.0, 0.0, (2.0 / np.pi) * a * np.log(re))
         else:
-            re = np.abs(a) ** self.alpha
+            re = re ** self.alpha
             im = -np.tan(np.pi * self.alpha / 2.0) * np.sign(a) * re
         return complex(w @ re, w @ im)
 
@@ -196,14 +167,10 @@ class LayeredQuadratureCF:
 
     def __call__(self, y) -> complex:
         y = _as_vector(y, self.sigma.dimension)
-        if self.sigma.is_uniform:
-            u, w = _uniform_marginal_nodes(self.sigma.dimension, n=48)
-            ny = np.linalg.norm(y)
-            total = self.sigma.total_mass() * sum(
-                wk * self._atom_exponent(ny * uk, None) for uk, wk in zip(u, w))
-        else:
-            total = sum(wk * self._atom_exponent(float(y @ xi), xi)
-                        for xi, wk in zip(self.sigma.atoms, self.sigma.weights))
+        a, w, atoms = self.sigma.project(y, 48)
+        xis = [None] * len(a) if atoms is None else atoms
+        total = sum(wk * self._atom_exponent(ak, xi)
+                    for ak, wk, xi in zip(a.tolist(), w, xis))
         return np.exp(1j * (y @ self.eta) + total)
 
 

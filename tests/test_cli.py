@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_canonical,
@@ -361,18 +361,32 @@ _INVALID_NUMBERS = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "abc", "1e
                     | st.integers(-10 ** 6, -1).map(str))
 
 
+# spectral measures with an infinite or NaN mass, weight or atom component
+_NON_FINITE_SIGMAS = st.sampled_from([
+    "uniform:2:inf", "uniform:2:nan", "uniform:3:-inf", "discrete:[(1):inf,(-1):1]",
+    "discrete:[(1):nan,(-1):1]", "discrete:[(1,nan):1,(0,1):1]",
+    "discrete:[(inf,1):1,(0,1):1]"])
+_INVALID_KEY_VALUES = st.sampled_from(
+    ["alpha", "beta", "T", "gamma_cap", "grid_n", "paths", "h", "threshold", "sigma"]
+).flatmap(lambda key: st.tuples(
+    st.just(key), _NON_FINITE_SIGMAS if key == "sigma" else _INVALID_NUMBERS))
+
+
 @settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(list(_SMALL_RUNS)),
-       key=st.sampled_from(["alpha", "beta", "T", "gamma_cap", "grid_n", "paths", "h",
-                            "threshold"]),
-       value=_INVALID_NUMBERS)
-def test_invalid_number_exit_config(command, key, value, tmp_path_factory):
+@given(command=st.sampled_from(list(_SMALL_RUNS)), key_value=_INVALID_KEY_VALUES)
+@example(command="simulate", key_value=("sigma", "uniform:2:inf"))
+@example(command="limit-check", key_value=("sigma", "discrete:[(1):inf,(-1):1]"))
+@example(command="rn", key_value=("sigma", "uniform:2:inf"))
+@example(command="tail", key_value=("sigma", "discrete:[(1,nan):1,(0,1):1]"))
+def test_invalid_number_exit_config(command, key_value, tmp_path_factory):
     # every numeric key set to a value invalid for it (a key the command does
-    # not take is an unknown flag) ends in exit 2 with a message, never in 0,
-    # 1 or a traceback
+    # not take is an unknown flag), and every non-finite spectral measure, ends
+    # in exit 2 with a message, never in 0, 1 or a traceback, and writes nothing
+    key, value = key_value
     flags = dict(_SMALL_RUNS[command], **{key: value})
     argv = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
-    argv.append(f"--out={tmp_path_factory.mktemp('run') / 'run'}")
+    out_dir = tmp_path_factory.mktemp("run")
+    argv.append(f"--out={out_dir / 'run'}")
     err = io.StringIO()
     with mock.patch.dict(os.environ, {"LAYERLAB_THREADS": "1"}), \
             contextlib.redirect_stderr(err):
@@ -382,6 +396,7 @@ def test_invalid_number_exit_config(command, key, value, tmp_path_factory):
             code = exc.code
     assert code == EXIT_CONFIG, (argv, err.getvalue())
     assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+    assert list(out_dir.iterdir()) == []
 
 
 # the settings each command reads from its config; the flags outside these

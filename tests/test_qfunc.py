@@ -1,4 +1,4 @@
-"""The layered q-function: density, tail integral, inverse tail, derived
+"""The layered q-function: density, tail integral, inverse tail, limit
 measures.  Closed-form reference values are recomputed from the density
 q(r) = r^{-alpha-1} (r <= 1), r^{-beta-1} (r > 1)."""
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerlab import (LayeredQ, SphericalMeasure, blend_q, derive_sigma_pair,
-                      levy_tail_mass, parse_q_spec)
+from layerlab import (LayeredQ, SphericalMeasure, blend_q, levy_tail_mass,
+                      parse_q_spec)
+from layerlab.qfunc import limit_mean
 
 
 @pytest.fixture
@@ -149,13 +150,28 @@ def test_index_domains():
         LayeredQ.canonical(0.5, -1.0, 2.0)  # outer index must be positive
 
 
-def test_derive_sigma_pair_canonical(q_can):
-    sigma = SphericalMeasure.symmetric_pair(2.0)
-    pair = derive_sigma_pair(q_can, sigma)
-    # c1 = c2 = 1, so sigma1 = sigma2 = sigma
-    assert abs(pair.sigma1.total_mass() - 2.0) < 1e-14
-    assert abs(pair.sigma2.total_mass() - 2.0) < 1e-14
-    np.testing.assert_allclose(pair.sigma1.weights, sigma.weights)
+def test_limit_mean_is_the_per_atom_sum(q_can):
+    # int xi c(xi) sigma(dxi), the first moment that the limit constants read
+    def per_atom(c, sigma):
+        return sum(w * c(xi) * xi for xi, w in zip(sigma.atoms, sigma.weights))
+
+    skew = SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0])
+    atoms3 = SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
+                                       [1.0, 0.6, 0.4])
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    q_dir = LayeredQ.custom(1.5, 0.8, lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                            c_dir, lambda xi: 1.0)
+    q_null = LayeredQ.custom(1.5, 0.8, lambda r, xi: (1 + r) ** -1.3 * r ** -0.5,
+                             lambda xi: 0.0, lambda xi: 1.0)
+    for c, sigma, expect in ((q_can.c1, skew, [1.0]), (q_can.c2, atoms3, [0.76, 0.28]),
+                             (q_null.c1, skew, [0.0]), (q_dir.c1, atoms3, None)):
+        got = limit_mean(c, sigma)
+        np.testing.assert_allclose(got, per_atom(c, sigma), rtol=1e-15, atol=1e-15)
+        if expect is not None:
+            np.testing.assert_allclose(got, expect, rtol=1e-15, atol=1e-15)
+    # a constant c on a uniform measure: the moment is zero by symmetry
+    np.testing.assert_array_equal(limit_mean(blend_q(1.5, 0.8).c1,
+                                             SphericalMeasure.uniform(3, 2.0)), np.zeros(3))
 
 
 def test_levy_tail_mass(q_can):

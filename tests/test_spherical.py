@@ -52,6 +52,22 @@ def test_weights_must_be_positive():
         SphericalMeasure.discrete(np.array([[1.0]]), np.array([-1.0]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SphericalMeasure.uniform(2, np.inf),
+    lambda: SphericalMeasure.uniform(2, np.nan),
+    lambda: SphericalMeasure.uniform(1, np.inf),
+    lambda: SphericalMeasure.discrete([[1.0], [-1.0]], [np.inf, 1.0]),
+    lambda: SphericalMeasure.discrete([[1.0], [-1.0]], [np.nan, 1.0]),
+    lambda: SphericalMeasure.discrete([[1.0], [-1.0]], [1e308, 1e308]),
+    lambda: SphericalMeasure.discrete([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0]),
+    lambda: SphericalMeasure.discrete([[np.inf, 1.0], [0.0, 1.0]], [1.0, 1.0]),
+], ids=["uniform-inf", "uniform-nan", "uniform-d1-inf", "weight-inf", "weight-nan",
+        "total-overflows", "atom-nan", "atom-inf"])
+def test_non_finite_measures_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_direction_sampling_frequencies():
     # spec-style binomial bound: frequency of +1 in [0.5 +- 0.01] at 1e5 draws
     s = SphericalMeasure.symmetric_pair(2.0)

@@ -9,11 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from layerlab import (GaussianCF, IsotropicStableCF, LayeredQ,
+from layerlab import (EULER_GAMMA, GaussianCF, IsotropicStableCF, LayeredQ,
                       LayeredQuadratureCF, SamplePath, SphericalMeasure,
                       StableCF, cf_distance, default_y_grid, ecf,
                       hill_ci, hill_tail_index, make_grid,
-                      p_variation)
+                      p_variation, stable_cf_constant)
 
 
 def test_stable_cf_cauchy(sym1):
@@ -43,6 +43,30 @@ def test_stable_cf_series_marginal_eta(skew1):
     np.testing.assert_allclose(cf.eta, [2.0])
     cf1 = StableCF.series_marginal(1.0, skew1)
     np.testing.assert_allclose(cf1.eta, [0.0])
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+def test_stable_cf_discrete_d2_is_the_per_atom_sum(alpha):
+    # the exponent written out atom by atom; y = (0, 1) puts <y, xi> = 0 on
+    # the first atom, where the alpha = 1 log term is 0
+    atoms = np.array([[1.0, 0.0], [-0.5, 0.8], [0.1, -1.0]])
+    atoms /= np.linalg.norm(atoms, axis=1)[:, None]
+    weights = np.array([0.3, 1.7, 0.9])
+    cf = StableCF(alpha, SphericalMeasure.discrete(atoms, weights))
+    m1 = weights @ atoms
+    for y in ([0.0, 1.0], [1.3, -0.4], [-2.0, 3.5]):
+        y = np.array(y)
+        psi = 0.0
+        for xi, w in zip(atoms, weights):
+            a = float(y @ xi)
+            if alpha == 1.0:
+                psi += w * (abs(a) + (1j * 2.0 / np.pi * a * np.log(abs(a)) if a else 0.0))
+            else:
+                psi += w * abs(a) ** alpha * (1.0 - 1j * np.tan(np.pi * alpha / 2.0)
+                                              * np.sign(a))
+        tau = -(1.0 - EULER_GAMMA) * m1 if alpha == 1.0 else -m1 / (1.0 - alpha)
+        expect = np.exp(1j * (y @ tau) - stable_cf_constant(alpha) * psi)
+        assert abs(cf(y) - expect) < 1e-14
 
 
 def test_isotropic_matches_uniform_stable():
