@@ -50,16 +50,17 @@ def main():
                                              args.paths, args.seed)
             stb = None
 
+        # each oracle is evaluated once over the whole grid
+        t_lay_all = np.exp(oracle.exponent(ys[:, None]))
+        t_st_all = np.exp(stable_oracle.exponent(ys[:, None]))
         rows = []
-        for y in ys:
+        for y, t_lay, t_st in zip(ys, t_lay_all, t_st_all):
             yv = np.array([y])
             e_lay = ecf(lay, yv)
-            t_lay = oracle(yv)
             row = [y, e_lay.real, e_lay.imag, t_lay.real,
                    abs(e_lay - t_lay)]
             if stb is not None:
                 e_st = ecf(stb, yv)
-                t_st = stable_oracle(yv)
                 row += [e_st.real, t_st.real, abs(e_st - t_st)]
             rows.append(row)
 

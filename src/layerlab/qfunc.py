@@ -121,9 +121,15 @@ class LayeredQ:
         """Density value q(r, xi); r must be positive."""
         if r <= 0.0:
             raise ValueError(f"q is defined for r > 0, got {r}")
+        return float(self.density(xi)(r))
+
+    def density(self, xi=None) -> Callable[[float], float]:
+        """r -> q(r, xi) for r > 0 as a lean scalar closure, without eval_q's
+        check: the integrand of a quadrature."""
         if self.is_canonical:
-            return r ** (-self.alpha - 1.0) if r <= 1.0 else r ** (-self.beta - 1.0)
-        return float(self.q_fn(r, xi))
+            inner, outer = -self.alpha - 1.0, -self.beta - 1.0
+            return lambda r: r ** inner if r <= 1.0 else r ** outer
+        return lambda r: self.q_fn(r, xi)
 
     def c1(self, xi=None) -> float:
         return 1.0 if self.is_canonical else float(self.c1_fn(xi))

@@ -9,6 +9,7 @@ and project the pairs behind the CF oracles' int f(<y, xi>) sigma(dxi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -142,18 +143,21 @@ class SphericalMeasure:
         return np.sum([w * radial(xi) * basis(xi)
                        for xi, w in zip(self.atoms, self.weights)], axis=0)
 
-    def project(self, y: np.ndarray, nodes: int):
-        """Pairs (a, w) with int f(<y, xi>) sigma(dxi) = sum_k w_k f(a_k).
+    def project(self, Y: np.ndarray, nodes: int):
+        """Pairs (a, w) with int f(<y_j, xi>) sigma(dxi) = sum_k w_k f(a_jk).
 
-        Returns (a, w, atoms).  A discrete measure gives a = atoms @ y, its
-        weights and its atoms.  A uniform one gives a = |y| u_k and w = mass
-        w_k at the `nodes` Gauss-Jacobi nodes u_k of <e, xi>, and no atoms
-        (None): as in integrate, an integrand on it is direction-free.
+        Returns (a, w, atoms), a of shape (n, K) for the rows y_j of Y.  A
+        discrete measure gives a = Y @ atoms', its weights and its atoms.  A
+        uniform one gives a_jk = |y_j| u_k and w = mass w_k at the `nodes`
+        Gauss-Jacobi nodes u_k of <e, xi>, cached read-only per (d, nodes),
+        and no atoms (None): as in integrate, its integrands are direction-free.
         """
         if self.is_uniform:
             u, w = _uniform_marginal_nodes(self.dimension, nodes)
-            return np.linalg.norm(y) * u, self.uniform_mass * w, None
-        return self.atoms @ y, self.weights, self.atoms
+            return np.sqrt(np.sum(Y * Y, axis=1))[:, None] * u, self.uniform_mass * w, None
+        # one product per row, rounded as for a single y: at <y, xi> ~ 0 the
+        # rounding shows in |a|^alpha with alpha < 1
+        return (Y[:, None, :] @ self.atoms.T)[:, 0], self.weights, self.atoms
 
     def _check_matrix_dimension(self) -> None:
         if self.dimension > MAX_MATRIX_DIMENSION:
@@ -190,7 +194,9 @@ class SphericalMeasure:
         """
         if self.is_uniform:
             g = rng.standard_normal((n, self.dimension))
-            return g / np.linalg.norm(g, axis=1, keepdims=True)
+            # summed column by column: np.linalg.norm's short-axis reduce is slow
+            ss = sum((g[:, j] * g[:, j] for j in range(1, self.dimension)), g[:, 0] * g[:, 0])
+            return g / np.sqrt(ss)[:, None]
         u = rng.random(n) * self._cum[-1]
         return self.atoms.take(_atom_index(self._table, u), axis=0)
 
@@ -217,6 +223,7 @@ def _atom_index(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=None)
 def _uniform_marginal_nodes(d: int, n: int):
     # nodes for u = <e, xi> with xi uniform on S^{d-1}; the marginal density
     # (1 - u^2)^{(d-3)/2} is singular at the endpoints for d = 2, so use a
@@ -228,7 +235,9 @@ def _uniform_marginal_nodes(d: int, n: int):
     w = w * (1.0 + u) ** p
     u = np.concatenate([-u[::-1], u])
     w = np.concatenate([w[::-1], w])
-    return u, w / w.sum()
+    w = w / w.sum()
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def parse_spherical_spec(text: str) -> SphericalMeasure:

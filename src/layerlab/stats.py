@@ -4,12 +4,13 @@ variation diagnostics.
 The CF targets are the ground truth that every simulator is tested against:
 the closed-form stable CF, the isotropic stable CF with its boundary
 constant, the Gaussian CF, and a Levy-Khintchine quadrature CF for layered
-measures that have no closed form.
+measures that have no closed form.  Each oracle's exponent(Y) gives the
+log-CF at the n frequencies of Y, shape (n, d); a call gives the CF at one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy import integrate
@@ -19,11 +20,11 @@ from .qfunc import LayeredQ, QuadratureError
 from .spherical import SphericalMeasure
 
 
-def _as_vector(y, d: int) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (d,):
-        raise ValueError(f"expected a vector in R^{d}, got shape {y.shape}")
-    return y
+def _as_frequencies(Y, d: int) -> np.ndarray:
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] == 0 or Y.shape[1] != d or not np.all(np.isfinite(Y)):
+        raise ValueError(f"need finite frequencies of shape (n >= 1, {d}), got {Y.shape}")
+    return Y
 
 
 class StableCF:
@@ -46,24 +47,22 @@ class StableCF:
             eta = sigma.first_moment() / (1.0 - alpha)
         return cls(alpha, sigma, eta)
 
-    def _spherical_integral(self, y: np.ndarray) -> complex:
-        a, w, _ = self.sigma.project(y, 96)
+    def exponent(self, Y) -> np.ndarray:
+        Y = _as_frequencies(Y, self.sigma.dimension)
+        a, w, _ = self.sigma.project(Y, 96)
         re = np.abs(a)
         if self.alpha == 1.0:
+            tau = self.eta - (1.0 - EULER_GAMMA) * self.sigma.first_moment()
             with np.errstate(divide="ignore", invalid="ignore"):
                 im = np.where(a == 0.0, 0.0, (2.0 / np.pi) * a * np.log(re))
         else:
+            tau = self.eta - self.sigma.first_moment() / (1.0 - self.alpha)
             re = re ** self.alpha
             im = -np.tan(np.pi * self.alpha / 2.0) * np.sign(a) * re
-        return complex(w @ re, w @ im)
+        return 1j * (Y @ tau) - self.c * (re @ w + 1j * (im @ w))
 
     def __call__(self, y) -> complex:
-        y = _as_vector(y, self.sigma.dimension)
-        if self.alpha == 1.0:
-            tau = self.eta - (1.0 - EULER_GAMMA) * self.sigma.first_moment()
-        else:
-            tau = self.eta - self.sigma.first_moment() / (1.0 - self.alpha)
-        return np.exp(1j * (y @ tau) - self.c * self._spherical_integral(y))
+        return np.exp(self.exponent(np.reshape(y, (1, -1)))[0])
 
 
 class IsotropicStableCF:
@@ -74,9 +73,11 @@ class IsotropicStableCF:
         self.d = d
         self.c = isotropic_cf_constant(beta, d, sigma2_mass)
 
+    def exponent(self, Y) -> np.ndarray:
+        return -self.c * np.linalg.norm(_as_frequencies(Y, self.d), axis=1) ** self.beta + 0j
+
     def __call__(self, y) -> complex:
-        y = _as_vector(y, self.d)
-        return complex(np.exp(-self.c * np.linalg.norm(y) ** self.beta))
+        return complex(np.exp(self.exponent(np.reshape(y, (1, -1)))[0]))
 
 
 class GaussianCF:
@@ -85,9 +86,12 @@ class GaussianCF:
     def __init__(self, cov):
         self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
 
+    def exponent(self, Y) -> np.ndarray:
+        Y = _as_frequencies(Y, self.cov.shape[0])
+        return -0.5 * np.sum((Y @ self.cov) * Y, axis=1) + 0j
+
     def __call__(self, y) -> complex:
-        y = _as_vector(y, self.cov.shape[0])
-        return complex(np.exp(-0.5 * y @ self.cov @ y))
+        return complex(np.exp(self.exponent(np.reshape(y, (1, -1)))[0]))
 
 
 def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
@@ -105,11 +109,12 @@ def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
     m = {k: q.radial_moment(k, 0.0, r1, xi) for k in range(2, 7)}
     re = -a ** 2 / 2.0 * m[2] + a ** 4 / 24.0 * m[4] - a ** 6 / 720.0 * m[6]
     im = -a ** 3 / 6.0 * m[3] + a ** 5 / 120.0 * m[5]
+    dens = q.density(xi)
     re_q, re_err = integrate.quad(
-        lambda r: (np.cos(a * r) - 1.0) * q.eval_q(r, xi), r1, 1.0,
+        lambda r: (math.cos(a * r) - 1.0) * dens(r), r1, 1.0,
         epsabs=1e-10, epsrel=1e-10, limit=300)
     im_q, im_err = integrate.quad(
-        lambda r: (np.sin(a * r) - a * r) * q.eval_q(r, xi), r1, 1.0,
+        lambda r: (math.sin(a * r) - a * r) * dens(r), r1, 1.0,
         epsabs=1e-10, epsrel=1e-10, limit=300)
     if re_err > 1e-8 * max(1.0, abs(re_q)) or im_err > 1e-8 * max(1.0, abs(im_q)):
         raise QuadratureError("inner CF quadrature did not converge")
@@ -128,17 +133,16 @@ def _outer_exponent(q: LayeredQ, a: float, xi) -> complex:
     if a == 0.0:
         return 0.0
     big = max(1.0, 1.0 / abs(a))
-    dens = lambda r: q.eval_q(r, xi)
+    dens = q.density(xi)
     re, re_err = integrate.quad(dens, big, np.inf, weight="cos", wvar=a, limit=400)
     im, im_err = integrate.quad(dens, big, np.inf, weight="sin", wvar=a, limit=400)
     if big > 1.0:
         # r q(r) at r = e^t; cos x - 1 as -2 sin^2(x/2), exact at small x
-        rq = lambda t: np.exp(t) * q.eval_q(np.exp(t), xi)
-        kw = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
+        rq = lambda t: math.exp(t) * dens(math.exp(t))
+        kw = {"a": 0.0, "b": np.log(big), "epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
         re_in, re_in_err = integrate.quad(
-            lambda t: -2.0 * np.sin(0.5 * a * np.exp(t)) ** 2 * rq(t), 0.0, np.log(big), **kw)
-        im_in, im_in_err = integrate.quad(
-            lambda t: np.sin(a * np.exp(t)) * rq(t), 0.0, np.log(big), **kw)
+            lambda t: -2.0 * math.sin(0.5 * a * math.exp(t)) ** 2 * rq(t), **kw)
+        im_in, im_in_err = integrate.quad(lambda t: math.sin(a * math.exp(t)) * rq(t), **kw)
         re, re_err = re + re_in, re_err + re_in_err
         im, im_err = im + im_in, im_err + im_in_err
     # QUADPACK's Fourier-transform error estimate is conservative; treat
@@ -150,7 +154,8 @@ def _outer_exponent(q: LayeredQ, a: float, xi) -> complex:
 
 
 class LayeredQuadratureCF:
-    """Levy-Khintchine CF of a layered measure by adaptive radial quadrature."""
+    """Levy-Khintchine CF of a layered measure by adaptive radial quadrature, once
+    per distinct (|a|, xi), as f(-a, xi) = conj f(a, xi); a canonical q ignores xi."""
 
     def __init__(self, q: LayeredQ, sigma: SphericalMeasure, eta=None):
         self.q = q
@@ -159,19 +164,21 @@ class LayeredQuadratureCF:
         self._cache: dict[tuple, complex] = {}
 
     def _atom_exponent(self, a: float, xi) -> complex:
-        key = (round(a, 14), None if xi is None else tuple(np.round(xi, 14)))
+        key = (round(abs(a), 14), None if xi is None else tuple(np.round(xi, 14)))
         if key not in self._cache:
-            self._cache[key] = (_inner_exponent(self.q, a, xi)
-                                + _outer_exponent(self.q, a, xi))
-        return self._cache[key]
+            self._cache[key] = (_inner_exponent(self.q, abs(a), xi)
+                                + _outer_exponent(self.q, abs(a), xi))
+        return self._cache[key].conjugate() if a < 0.0 else self._cache[key]
+
+    def exponent(self, Y) -> np.ndarray:
+        Y = _as_frequencies(Y, self.sigma.dimension)
+        a, w, atoms = self.sigma.project(Y, 48)
+        xis = [None] * a.shape[1] if atoms is None or self.q.is_canonical else list(atoms)
+        psi = [[self._atom_exponent(x, xi) for x, xi in zip(row, xis)] for row in a.tolist()]
+        return 1j * (Y @ self.eta) + np.array(psi, dtype=complex) @ w
 
     def __call__(self, y) -> complex:
-        y = _as_vector(y, self.sigma.dimension)
-        a, w, atoms = self.sigma.project(y, 48)
-        xis = [None] * len(a) if atoms is None else atoms
-        total = sum(wk * self._atom_exponent(ak, xi)
-                    for ak, wk, xi in zip(a.tolist(), w, xis))
-        return np.exp(1j * (y @ self.eta) + total)
+        return np.exp(self.exponent(np.reshape(y, (1, -1)))[0])
 
 
 def ecf(samples, y) -> complex:
@@ -179,7 +186,7 @@ def ecf(samples, y) -> complex:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] == 0:
         raise ValueError("ecf needs at least one sample")
-    y = _as_vector(y, samples.shape[1])
+    y = _as_frequencies(np.reshape(y, (1, -1)), samples.shape[1])[0]
     return complex(np.mean(np.exp(1j * (samples @ y))))
 
 
@@ -188,21 +195,19 @@ def default_y_grid(d: int, half_width: float = 5.0, n: int = 21) -> np.ndarray:
     axis = np.linspace(-half_width, half_width, n)
     # keep 0 itself but no other point closer to 0 than 1e-9
     axis = axis[(axis == 0.0) | (np.abs(axis) >= 1e-9)]
-    if d == 1:
-        return axis[:, None]
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def cf_distance(samples, target, y_grid=None) -> float:
-    """Max pointwise |ECF - target CF| over the frequency grid."""
+    """Max pointwise |ECF - target CF| over the frequency grid; an oracle's
+    exponent is read once over the grid, any other callable y -> CF(y) per point."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d = samples.shape[1]
-    if y_grid is None:
-        y_grid = default_y_grid(d)
-    y_grid = np.atleast_2d(np.asarray(y_grid, dtype=float))
-    phases = np.exp(1j * (samples @ y_grid.T)).mean(axis=0)
-    targets = np.array([target(y) for y in y_grid])
+    Y = _as_frequencies(default_y_grid(d) if y_grid is None else y_grid, d)
+    phases = np.exp(1j * (samples @ Y.T)).mean(axis=0)
+    targets = (np.exp(target.exponent(Y)) if hasattr(target, "exponent")
+               else np.array([target(y) for y in Y]))
     return float(np.max(np.abs(phases - targets)))
 
 

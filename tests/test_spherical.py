@@ -203,3 +203,19 @@ def test_integrate_uniform_reads_xi_none():
     np.testing.assert_array_equal(sigma.integrate(never, 1), np.zeros(2))
     with pytest.raises(ValueError):
         sigma.integrate(radial, 3)
+
+
+def test_uniform_nodes_are_cached_read_only():
+    from layerlab.spherical import _uniform_marginal_nodes
+    u, w = _uniform_marginal_nodes(2, 48)
+    again = _uniform_marginal_nodes(2, 48)
+    assert again[0] is u and again[1] is w
+    for arr in (u, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    sigma = SphericalMeasure.uniform(2, 3.0)
+    a, weights, atoms = sigma.project(np.array([[3.0, 4.0], [0.0, 0.0]]), 48)
+    np.testing.assert_array_equal(a, np.stack([5.0 * u, 0.0 * u]))
+    np.testing.assert_array_equal(weights, 3.0 * w)
+    assert atoms is None
+    assert _uniform_marginal_nodes(2, 48)[0] is u

@@ -5,13 +5,15 @@ independent cross-check here: an mpmath tanh-sinh / oscillatory quadrature
 of the same Levy-Khintchine exponent at much higher precision.
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
 from layerlab import (EULER_GAMMA, GaussianCF, IsotropicStableCF, LayeredQ,
                       LayeredQuadratureCF, SamplePath, SphericalMeasure,
-                      StableCF, cf_distance, default_y_grid, ecf,
+                      StableCF, blend_q, cf_distance, default_y_grid, ecf,
                       hill_ci, hill_tail_index, make_grid,
                       p_variation, stable_cf_constant)
 
@@ -213,3 +215,77 @@ def test_p_variation():
     assert p_variation(path, 2.0) == 1.0 + 4.0 + 1.0 + 4.0
     with pytest.raises(ValueError):
         p_variation(path, 0.0)
+
+
+def _five_measures():
+    atoms = np.array([[1.0, 0.0], [-0.5, 0.8], [0.1, -1.0]])
+    atoms /= np.linalg.norm(atoms, axis=1)[:, None]
+    return {"symmetric": SphericalMeasure.symmetric_pair(2.0),
+            "skewed 2:1": SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0]),
+            "uniform d=2": SphericalMeasure.uniform(2, 2.0),
+            "3 atoms d=2": SphericalMeasure.discrete(atoms, [0.3, 1.7, 0.9]),
+            "uniform d=3": SphericalMeasure.uniform(3, 2.0)}
+
+
+@pytest.mark.parametrize("measure", list(_five_measures()))
+def test_exponent_over_a_grid_is_the_pointwise_log_cf(measure):
+    sigma = _five_measures()[measure]
+    d = sigma.dimension
+    Y = default_y_grid(d, n=5 if d > 1 else 21)
+    oracles = [StableCF.series_marginal(1.5, sigma), StableCF(1.0, sigma),
+               LayeredQuadratureCF(LayeredQ.canonical(1.3, 1.9, sigma.total_mass()), sigma),
+               GaussianCF(0.7 * np.eye(d) + 0.1), IsotropicStableCF(1.5, d, 2.0)]
+    for cf in oracles:
+        psi = cf.exponent(Y)
+        assert psi.shape == (len(Y),)
+        point = np.array([cf(y) for y in Y])
+        np.testing.assert_allclose(np.exp(psi), point, rtol=1e-13, atol=0.0)
+    # a plain callable is still a target, read point by point
+    x = np.random.default_rng(16).standard_normal((50, d))
+    cf = oracles[0]
+    assert cf_distance(x, lambda y: cf(y), Y) == pytest.approx(cf_distance(x, cf, Y),
+                                                              rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [LayeredQ.canonical(1.3, 1.9, 2.0),
+                               LayeredQ.canonical(1.9, 1.3, 2.0), blend_q(1.3, 1.9)],
+                         ids=["canonical(1.3,1.9)", "canonical(1.9,1.3)", "blend(1.3,1.9)"])
+def test_exponent_at_minus_a_is_the_conjugate(q):
+    # the fold f(-a, xi) = conj f(a, xi) that lets the quadrature CF integrate
+    # each |a| once, checked on the integrals themselves, without the cache
+    from layerlab.stats import _inner_exponent, _outer_exponent
+    for xi in (None, np.array([-0.6, 0.8])):
+        for a in (1e-6, 0.3, 2.0, 7.0):
+            plus = _inner_exponent(q, a, xi) + _outer_exponent(q, a, xi)
+            minus = _inner_exponent(q, -a, xi) + _outer_exponent(q, -a, xi)
+            assert abs(minus - np.conj(plus)) <= 1e-12 * max(1.0, abs(plus))
+
+
+def test_quadrature_cf_integrates_each_distinct_modulus_once(sym1, monkeypatch):
+    # the 21 frequencies of the default grid meet the atoms +1 and -1 at
+    # a = +-y; a canonical q ignores the direction, so only the 11 distinct
+    # |a| (0 included) are integrated, on the first sweep and on no later one
+    from layerlab import stats
+    calls = []
+    inner = stats._inner_exponent
+    monkeypatch.setattr(stats, "_inner_exponent",
+                        lambda q, a, xi: calls.append(a) or inner(q, a, xi))
+    cf = LayeredQuadratureCF(LayeredQ.canonical(1.3, 1.9, 2.0), sym1)
+    cf.exponent(default_y_grid(1))
+    assert len(calls) == 11
+    cf_distance(np.zeros((3, 1)), cf)
+    assert len(calls) == 11
+
+
+def test_cf_distance_refuses_a_bad_grid():
+    x = np.random.default_rng(16).standard_normal((50, 1))
+    cf = GaussianCF([[1.0]])
+    nan_grid = default_y_grid(1)
+    nan_grid[3, 0] = np.nan
+    for grid, shape in ((np.linspace(-5.0, 5.0, 21), "(21,)"), (np.ones((3, 2)), "(3, 2)"),
+                        (np.empty((0, 1)), "(0, 1)"), (nan_grid, "(21, 1)")):
+        for target in (cf, lambda y: cf(y)):
+            with pytest.raises(ValueError, match=re.escape(shape)):
+                cf_distance(x, target, grid)
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            cf.exponent(grid)
