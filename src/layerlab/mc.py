@@ -29,6 +29,8 @@ from .series import (MixDistribution, SeriesLaw, canonical_magnitudes, layered_l
 from .spherical import SphericalMeasure
 
 MAX_RESULT_VALUES = 1e8    # the run-size budget of run_paths: 1e8 float64 results, 0.8 GB
+BLOCK_JUMPS = 4096         # the compensated sampler draws ~this many jumps per substream
+MAX_BLOCK_PATHS = 256
 
 
 def worker_count() -> int:
@@ -137,6 +139,12 @@ def _gaussian_compensated_terminals(q: LayeredQ, sigma: SphericalMeasure,
         raise ValueError("horizon and cut radius must be positive")
     m = sigma.total_mass()
     d = sigma.dimension
+    # run_paths sees blocks, so the caller's count is checked here
+    if n_paths < 0:
+        raise ValueError(f"need a path count >= 0, got {n_paths}")
+    if n_paths * d > MAX_RESULT_VALUES:
+        raise ValueError(f"{n_paths} paths x {d} values exceed the run-size budget "
+                         f"of {MAX_RESULT_VALUES:.0e} results (0.8 GB)")
     tail = q.tail_integral(r_cut)
     rate = horizon * m * tail
     u_cut = m * tail
@@ -147,19 +155,32 @@ def _gaussian_compensated_terminals(q: LayeredQ, sigma: SphericalMeasure,
     shift = None if sigma.is_symmetric() else horizon * (
         jump_mean(q, sigma, 1.0, r_cut) - jump_mean(q, sigma, r_cut, 1.0))
 
-    def one(ss, _i):
-        rng = np.random.default_rng(ss)
-        n_big = rng.poisson(rate)
-        total = chol @ rng.standard_normal(d)
-        if n_big:
-            # conditional law of a jump above r_cut: invert u ~ U(0, m Q(r_cut))
-            mags = canonical_magnitudes(q.alpha, q.beta,
-                                        rng.uniform(0.0, u_cut, n_big), m, 1.0)
-            dirs = sigma.sample_directions(rng, n_big)
-            total = total + mags @ dirs
-        return total if shift is None else total + shift
+    # B paths share one substream; above 2048 jumps a path B = 1, which is
+    # the per-path layout draw for draw
+    block = int(min(max(BLOCK_JUMPS // rate, 1), MAX_BLOCK_PATHS))
 
-    return run_paths(one, n_paths, seed, d, threads)
+    def one_block(ss, _b):
+        rng = np.random.default_rng(ss)
+        counts = rng.poisson(rate, block).tolist()
+        z = rng.standard_normal((block, d))
+        # the values of rng.uniform(0, u_cut), which adds 0.0; a jump above
+        # r_cut inverts u ~ U(0, m Q(r_cut))
+        levels = rng.random(sum(counts))
+        levels *= u_cut
+        mags = canonical_magnitudes(q.alpha, q.beta, levels, m, 1.0)
+        dirs = sigma.sample_directions(rng, len(levels))
+        out = np.empty((block, d))
+        s = 0
+        for j, c in enumerate(counts):
+            total = chol @ z[j]
+            if c:
+                total = total + mags[s:s + c] @ dirs[s:s + c]
+                s += c
+            out[j] = total if shift is None else total + shift
+        return out.ravel()
+
+    n_blocks = -(-n_paths // block)
+    return run_paths(one_block, n_blocks, seed, block * d, threads).reshape(-1, d)[:n_paths]
 
 
 def stable_terminals_gaussian(alpha: float, sigma: SphericalMeasure,

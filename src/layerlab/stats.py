@@ -19,6 +19,9 @@ from ._special import EULER_GAMMA, isotropic_cf_constant, stable_cf_constant
 from .qfunc import LayeredQ, QuadratureError
 from .spherical import SphericalMeasure
 
+GRID_AXIS_POINTS = 21     # per axis of the default frequency grid
+MAX_PHASE_VALUES = 1e7    # samples x frequencies in cf_distance, ~0.4 GB of temporaries
+
 
 def _as_frequencies(Y, d: int) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
@@ -190,7 +193,7 @@ def ecf(samples, y) -> complex:
     return complex(np.mean(np.exp(1j * (samples @ y))))
 
 
-def default_y_grid(d: int, half_width: float = 5.0, n: int = 21) -> np.ndarray:
+def default_y_grid(d: int, half_width: float = 5.0, n: int = GRID_AXIS_POINTS) -> np.ndarray:
     """The default frequency grid: n points per axis on [-half_width, half_width]."""
     axis = np.linspace(-half_width, half_width, n)
     # keep 0 itself but no other point closer to 0 than 1e-9
@@ -201,10 +204,18 @@ def default_y_grid(d: int, half_width: float = 5.0, n: int = 21) -> np.ndarray:
 
 def cf_distance(samples, target, y_grid=None) -> float:
     """Max pointwise |ECF - target CF| over the frequency grid; an oracle's
-    exponent is read once over the grid, any other callable y -> CF(y) per point."""
+    exponent is read once over the grid, any other callable y -> CF(y) per point.
+    More than MAX_PHASE_VALUES samples x frequencies are refused before the
+    default grid or the phases are built."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d = samples.shape[1]
-    Y = _as_frequencies(default_y_grid(d) if y_grid is None else y_grid, d)
+    n, d = samples.shape
+    Y = None if y_grid is None else _as_frequencies(y_grid, d)
+    m = GRID_AXIS_POINTS ** d if Y is None else len(Y)
+    if n * m > MAX_PHASE_VALUES:
+        size = f"{GRID_AXIS_POINTS}^{d}" if Y is None else m
+        raise ValueError(f"{n} samples x {size} frequencies exceed the budget of "
+                         f"{MAX_PHASE_VALUES:.0e} phase values")
+    Y = default_y_grid(d) if Y is None else Y
     phases = np.exp(1j * (samples @ Y.T)).mean(axis=0)
     targets = (np.exp(target.exponent(Y)) if hasattr(target, "exponent")
                else np.array([target(y) for y in Y]))

@@ -196,16 +196,19 @@ def test_over_budget_paths_rejected(argv, tmp_path, capsys):
      (np.random, "default_rng")),
     (("limit-check", "--sigma", "uniform:100000:2", "--mode", "short", "--h", "1"),
      (np, "eye")),
+    (("limit-check", "--sigma", "uniform:4:2", "--mode", "short", "--h", "1e-3",
+      "--paths", "1000"), (np, "exp")),
 ], ids=["simulate-grid", "rn-grid", "simulate-dimension", "rn-dimension",
-        "limit-check-dimension"])
+        "limit-check-dimension", "limit-check-phases"])
 def test_size_budgets_exit_config(argv, unreached, monkeypatch, tmp_path, capsys):
-    # grid steps, arrivals x dimension and the d x d second moment are each
-    # refused from their size, before the allocation the patch would catch
+    # grid steps, arrivals x dimension, the d x d second moment and the
+    # samples x 21^d ECF phases are each refused from their size, before the
+    # allocation the patch would catch
     def fail(*args, **kwargs):
         raise AssertionError(f"{unreached[1]} reached before the budget check")
 
     monkeypatch.setattr(*unreached, fail)
-    assert run(*argv, "--alpha", "1.3", "--beta", "1.9", "--paths", "10",
+    assert run(argv[0], "--alpha", "1.3", "--beta", "1.9", "--paths", "10", *argv[1:],
                "--out", str(tmp_path / "r.json")) == EXIT_CONFIG
     assert "budget" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

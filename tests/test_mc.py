@@ -10,13 +10,15 @@ import pytest
 
 import layerlab.mc as mc
 from layerlab import (LayeredQ, LayeredQuadratureCF, MixDistribution,
-                      SphericalMeasure, StableCF, auto_r_cut, cf_distance,
-                      default_y_grid, draw_shot_noise, layered_path_canonical,
+                      SphericalMeasure, StableCF, auto_r_cut, canonical_magnitudes,
+                      cf_distance, default_y_grid, draw_shot_noise,
+                      layered_path_canonical,
                       layered_path_rejection, layered_terminals,
                       layered_terminals_gaussian, mixed_path, mixed_terminals,
                       rejection_terminals, run_paths, stable_path,
                       stable_terminals, stable_terminals_gaussian, substream,
                       worker_count)
+from layerlab.qfunc import jump_mean
 
 
 def test_substream_is_deterministic():
@@ -200,10 +202,96 @@ def test_skewed_layered_terminals_match_exact_horizon_law(measure, sampler, h, n
     else:
         r_cut = auto_r_cut(q, sigma.total_mass(), h)
         x = layered_terminals_gaussian(alpha, beta, sigma, h, r_cut, n, seed)
+    assert _distance_to_exact_law(x, q, sigma, h) < 5.0 / np.sqrt(n)
+
+
+def _distance_to_exact_law(x, q, sigma, h):
+    """ECF distance of s X_h to the exact law at horizon h, the quadrature CF
+    of the measure h*sigma, read at s = h^(-1/alpha) below h = 1 and
+    h^(-1/beta) from h = 1 on."""
     exact = LayeredQuadratureCF(q, sigma.scaled(h))
-    s = h ** (-1.0 / beta)
+    s = h ** (-1.0 / (q.alpha if h < 1.0 else q.beta))
     y_grid = default_y_grid(2, n=11) if sigma.dimension == 2 else None
-    assert cf_distance(s * x, lambda y: exact(s * y), y_grid) < 5.0 / np.sqrt(n)
+    return cf_distance(s * x, lambda y: exact(s * y), y_grid)
+
+
+# (measure, horizon h, seed) at AC10's cut of ~300 jumps a path, where the
+# sampler draws 13 paths per block; seeds fixed before the first run, like
+# the 5/sqrt(n) threshold
+BLOCK_LAW_CASES = [(measure, h, 1701 + 3 * k + j)
+                   for k, measure in enumerate(("sym1", "skew1", "u2", "skew2"))
+                   for j, h in enumerate((1e-2, 1.0, 1e2))]
+
+
+@pytest.mark.parametrize("measure, h, seed", BLOCK_LAW_CASES)
+def test_block_sampler_matches_exact_horizon_law(measure, h, seed, sym1, skew1):
+    sigma = {"sym1": sym1, "skew1": skew1, "u2": SphericalMeasure.uniform(2, 2.0),
+             "skew2": _skew2()}[measure]
+    q = LayeredQ.canonical(1.3, 1.9, sigma.total_mass())
+    r_cut = auto_r_cut(q, sigma.total_mass(), h, target_jumps=300.0)
+    n = 4000
+    x = layered_terminals_gaussian(1.3, 1.9, sigma, h, r_cut, n, seed)
+    assert _distance_to_exact_law(x, q, sigma, h) < 5.0 / np.sqrt(n)
+
+
+def _per_path_reference(q, sigma, h, r_cut, n_paths, seed):
+    """The compensated sampler with one substream per path, the layout the
+    block sampler keeps above 2048 jumps a path."""
+    m, d = sigma.total_mass(), sigma.dimension
+    tail = q.tail_integral(r_cut)
+    cov = h * q.radial_moment(2, 0.0, r_cut) * sigma.second_moment()
+    chol = np.linalg.cholesky(cov + 1e-12 * max(np.trace(cov), 1e-30) * np.eye(d))
+    shift = None if sigma.is_symmetric() else h * (
+        jump_mean(q, sigma, 1.0, r_cut) - jump_mean(q, sigma, r_cut, 1.0))
+    out = np.empty((n_paths, d))
+    for i in range(n_paths):
+        rng = np.random.default_rng(substream(seed, i))
+        n_big = rng.poisson(h * m * tail)
+        total = chol @ rng.standard_normal(d)
+        if n_big:
+            mags = canonical_magnitudes(q.alpha, q.beta,
+                                        rng.uniform(0.0, m * tail, n_big), m, 1.0)
+            total = total + mags @ sigma.sample_directions(rng, n_big)
+        out[i] = total if shift is None else total + shift
+    return out
+
+
+@pytest.mark.parametrize("case", ["sym1", "skew1-shift", "u2", "u2-isotropy"])
+def test_compensated_above_2048_jumps_is_the_per_path_layout(case, sym1, skew1):
+    # one path per block: byte for byte the per-path draws; the last case is
+    # test_gaussian_sampler_d2_isotropy's configuration, ~1.5e5 jumps a path
+    u2 = SphericalMeasure.uniform(2, 2.0)
+    sigma, ab, h = {"sym1": (sym1, (1.3, 1.9), 1.0), "skew1-shift": (skew1, (1.3, 1.9), 1e3),
+                    "u2": (u2, (1.9, 1.3), 1.0), "u2-isotropy": (u2, (1.7, 1.7), 1.0)}[case]
+    q = LayeredQ.canonical(*ab, sigma.total_mass())
+    r_cut = 1e-3 if case == "u2-isotropy" else auto_r_cut(q, sigma.total_mass(), h)
+    rate = h * sigma.total_mass() * q.tail_integral(r_cut)
+    assert rate > 2048
+    n = 3 if case == "u2-isotropy" else 10
+    x = layered_terminals_gaussian(*ab, sigma, h, r_cut, n, seed=1720)
+    assert x.tobytes() == _per_path_reference(q, sigma, h, r_cut, n, 1720).tobytes()
+
+
+def _block_run(n_paths, threads, sigma):
+    q = LayeredQ.canonical(1.3, 1.9, 2.0)
+    r_cut = auto_r_cut(q, 2.0, 1.0, target_jumps=300.0)
+    assert mc.BLOCK_JUMPS // (2.0 * q.tail_integral(r_cut)) == 13
+    return layered_terminals_gaussian(1.3, 1.9, sigma, 1.0, r_cut, n_paths, 1721,
+                                      threads=threads)
+
+
+def test_block_sampler_thread_count_invariance(skew1):
+    x = _block_run(100, 1, skew1)
+    for threads in (2, 3):
+        assert _block_run(100, threads, skew1).tobytes() == x.tobytes()
+
+
+def test_block_sampler_prefix_is_the_shorter_run(skew1):
+    # path i depends on (seed, i) only: 20 paths, not a multiple of the 13 a
+    # block, are the first 20 of a 100-path run
+    x = _block_run(100, 1, skew1)
+    assert x.shape == (100, 1) and x.flags.c_contiguous
+    assert _block_run(20, 1, skew1).tobytes() == x[:20].tobytes()
 
 
 def test_gaussian_sampler_rejects_asymmetric(skew1):
@@ -218,6 +306,9 @@ def test_gaussian_sampler_validation(sym1):
         stable_terminals_gaussian(1.3, sym1, 0.0, 0.1, 10, seed=0)
     with pytest.raises(ValueError):
         stable_terminals_gaussian(2.0, sym1, 1.0, 0.1, 10, seed=0)
+    # ~31 jumps a path: a block of 133 paths, which -5 paths would round to none
+    with pytest.raises(ValueError, match="path count"):
+        stable_terminals_gaussian(1.3, sym1, 1.0, 0.1, -5, seed=0)
 
 
 def test_gaussian_sampler_d2_isotropy():
