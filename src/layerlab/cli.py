@@ -83,15 +83,20 @@ def _parse_mix(text: str) -> series.MixDistribution:
     return series.MixDistribution(np.array(atoms), np.array(probs))
 
 
-PROCESSES = ("stable", "layered", "layered-rejection", "mixed")
-
-# the settings each process cannot run without
-_REQUIRED = {
-    "stable": ("alpha",),
-    "layered": ("alpha", "beta"),
-    "layered-rejection": ("alpha", "beta"),
-    "mixed": ("mix",),
+# each process: the settings it cannot run without, and its law from the
+# settings and the spectral measure
+_LAWS = {
+    "stable": (("alpha",),
+               lambda cfg, sigma: series.stable_law(float(cfg["alpha"]), sigma)),
+    "layered": (("alpha", "beta"), lambda cfg, sigma: series.layered_law(
+        LayeredQ.canonical(float(cfg["alpha"]), float(cfg["beta"]), sigma.total_mass()),
+        sigma)),
+    "layered-rejection": (("alpha", "beta"), lambda cfg, sigma: series.rejection_law(
+        float(cfg["alpha"]), float(cfg["beta"]), sigma, cfg.get("base", "inner"))),
+    "mixed": (("mix",),
+              lambda cfg, sigma: series.mixed_law(_parse_mix(cfg["mix"]), sigma)),
 }
+PROCESSES = tuple(_LAWS)
 
 # the setting that gives each `tail` process its nominal tail index
 _TAIL_INDEX = {"stable": "alpha", "layered": "beta"}
@@ -110,13 +115,14 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(args, keys) -> dict:
+def _merge_config(args, keys, required=()) -> dict:
     """The command's settings: defaults, then the config file, then flags.
 
     keys are the settings the command reads from the result; a config file
-    may set those and no others.
+    may set those and no others.  required are the keys among them that the
+    command takes no default for.
     """
-    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys}
+    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys and k not in required}
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
     for key in keys:
@@ -126,29 +132,15 @@ def _merge_config(args, keys) -> dict:
     unknown = set(cfg) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    _require(cfg, required, f"the {args.command} command")
     return cfg
 
 
-def _require(cfg, process) -> None:
-    """Reject a config that leaves a setting the process needs unset."""
-    missing = [k for k in _REQUIRED[process] if cfg.get(k) is None]
+def _require(cfg, keys, what) -> None:
+    """Reject a config that leaves a setting `what` needs unset."""
+    missing = [k for k in keys if cfg.get(k) is None]
     if missing:
-        raise ConfigError(f"the {process} process requires {' and '.join(missing)}")
-
-
-def _law(cfg, sigma) -> series.SeriesLaw:
-    """The one place that maps a process name and its settings to a law."""
-    process = cfg["process"]
-    if process == "mixed":
-        return series.mixed_law(_parse_mix(cfg["mix"]), sigma)
-    alpha = float(cfg["alpha"])
-    if process == "stable":
-        return series.stable_law(alpha, sigma)
-    beta = float(cfg["beta"])
-    if process == "layered":
-        return series.layered_law(LayeredQ.canonical(alpha, beta, sigma.total_mass()),
-                                  sigma)
-    return series.rejection_law(alpha, beta, sigma, cfg.get("base", "inner"))
+        raise ConfigError(f"{what} requires {' and '.join(missing)}")
 
 
 def _parse_coupled(text, sigma):
@@ -172,7 +164,7 @@ def cmd_simulate(args) -> int:
     process = cfg["process"]
     if process not in PROCESSES:
         raise ConfigError(f"process must be one of {PROCESSES}")
-    _require(cfg, process)
+    _require(cfg, _LAWS[process][0], f"the {process} process")
     sigma = parse_spherical_spec(cfg["sigma"])
     T = float(cfg["T"])
     n_paths = int(cfg["paths"])
@@ -185,7 +177,7 @@ def cmd_simulate(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     coupled = cfg.pop("coupled", "")     # the manifest keeps it beside the config
-    law = _law(cfg, sigma)
+    law = _LAWS[process][1](cfg, sigma)
     jobs = [(process, law)] + (_parse_coupled(coupled, sigma) if coupled else [])
 
     out = args.out or "layerlab_run"
@@ -223,8 +215,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed"))
-    _require(cfg, "layered")
+    cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed"),
+                        required=("alpha", "beta"))
     h = float(args.h)
     n_paths = int(cfg["paths"])
     threshold = float(args.threshold)
@@ -251,8 +243,8 @@ def cmd_limit_check(args) -> int:
 
 def cmd_rn(args) -> int:
     cfg = _merge_config(args, ("alpha", "beta", "sigma", "T", "grid_n",
-                               "paths", "seed", "gamma_cap"))
-    _require(cfg, "layered")
+                               "paths", "seed", "gamma_cap"),
+                        required=("alpha", "beta", "paths"))
     report = girsanov.rn_diagnostics(
         float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
         args.functional, int(cfg["paths"]), int(cfg["seed"]), T=float(cfg["T"]),
@@ -264,18 +256,18 @@ def cmd_rn(args) -> int:
 
 def cmd_tail(args) -> int:
     cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "paths",
-                               "seed", "gamma_cap"))
+                               "seed", "gamma_cap"), required=("paths",))
     process = cfg["process"]
     if process not in _TAIL_INDEX:
         raise ConfigError("tail process must be stable or layered")
-    _require(cfg, process)
+    _require(cfg, _LAWS[process][0], f"the {process} process")
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
     if args.k is not None and not 0 < args.k < n_paths:
         raise ConfigError(f"k = {args.k} must lie strictly between 0 and paths = {n_paths}")
     seed = int(cfg["seed"])
-    law = _law(cfg, parse_spherical_spec(cfg["sigma"]))
+    law = _LAWS[process][1](cfg, parse_spherical_spec(cfg["sigma"]))
     x = mc.terminals(law, n_paths, seed, gamma_cap=float(cfg["gamma_cap"]))
     mags = np.linalg.norm(np.atleast_2d(x), axis=1)
     mags = mags[mags > 0]

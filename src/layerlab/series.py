@@ -6,18 +6,19 @@ directions {V_i}; only the magnitude map differs.  The series is truncated at
 the first arrival beyond gamma_cap * T, which bounds the largest discarded
 jump by the inverse tail evaluated at gamma_cap.
 
-Each process is one jump map: from a draw it gives the magnitudes, a drift
-and an optional keep mask (stable, layered, rejection and mixed).  A
-SeriesLaw reduces its jump map in one of two ways.  path(draw, grid), and
-each public path builder, assembles the path on a grid: it never sorts the
-jump times, puts each jump into the grid cell that first sees it, sums the
-cells in arrival order, and takes the running sum of the cells plus the
-drift.  The cell of a jump is computed by arithmetic,
-ceil(t (len(grid) - 1) / grid[-1]), and checked exactly against the grid;
-only a guess that fails the check is searched, so the cells equal
-np.searchsorted on any grid.  terminal(draw) builds no grid: it is the
-sequential sum of the kept jumps in arrival order plus T times the drift,
-the same floating-point operations as the path on [0, T] at its end.
+Each process is one law, a SeriesLaw built by stable_law, layered_law,
+rejection_law or mixed_law, which checks its inputs and works out the law's
+constants once.  Its jump map gives, from a draw, the magnitudes, a drift
+and an optional keep mask, and the law reduces them in one of two ways.
+path(draw, grid) assembles the path on a grid; each public path builder is
+X_law(...).path(draw, grid).  It never sorts the jump times, puts each jump
+into the grid cell that first sees it, sums the cells in arrival order, and
+takes the running sum of the cells plus the drift.  The cell of a jump is
+computed by arithmetic, ceil(t (len(grid) - 1) / grid[-1]), and checked
+exactly against the grid; only a guess that fails the check is searched, so
+the cells equal np.searchsorted on any grid.  terminal(draw) builds no grid:
+it is the sequential sum of the kept jumps in arrival order plus T times the
+drift, the same floating-point operations as the path on [0, T] at its end.
 """
 
 from __future__ import annotations
@@ -277,28 +278,6 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
     return (alpha / m) ** (-1.0 / alpha) * zeta(1.0 / alpha)
 
 
-def _stable_jumps(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw):
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"stable index must lie in (0,2), got {alpha}")
-    m = sigma.total_mass()
-    mT = m * draw.T
-    mags = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
-    drift = None
-    if alpha >= 1.0:
-        z0 = sigma.mean_direction()
-        if np.any(z0 != 0.0):
-            n = draw.cutoff_index
-            comp = np.sum((alpha * np.arange(1, n + 1) / mT) ** (-1.0 / alpha))
-            drift = (stable_drift_constant(alpha, m, draw.T) - comp) * z0 / draw.T
-    return mags, drift, None
-
-
-def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
-                grid) -> SamplePath:
-    """Truncated shot-noise series of an alpha-stable path on [0, T]."""
-    return _assemble(grid, draw, *_stable_jumps(alpha, sigma, draw))
-
-
 def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
                          sigma_mass: float, T: float) -> np.ndarray:
     """Vectorized inverse tail for the canonical two-layer q."""
@@ -361,97 +340,17 @@ def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
     return mags
 
 
-def _layered_jumps(q: LayeredQ, sigma: SphericalMeasure, draw: ShotNoiseDraw):
-    # canonical q: closed-form magnitudes and centering; custom q: tabled
-    # inverse tail and quadrature centering
-    m = sigma.total_mass()
-    drift = None
-    if q.is_canonical:
-        mags = canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)
-        z0 = sigma.mean_direction()
-        if np.any(np.abs(z0) > 1e-15):
-            b_sum = canonical_centering_sum(q.alpha, q.beta, m, draw.T,
-                                            float(draw.cutoff_index))
-            drift = -b_sum * z0 / draw.T
-    else:
-        mags = _custom_magnitudes(q, sigma, draw)
-        if not sigma.is_symmetric():
-            drift = -_general_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T
-    return mags, drift, None
-
-
-def layered_path_canonical(alpha: float, beta: float, sigma: SphericalMeasure,
-                           draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path of the canonical two-layer process."""
-    q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
-    return _assemble(grid, draw, *_layered_jumps(q, sigma, draw))
-
-
-def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
-                         draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path for a general layered q (canonical or custom)."""
-    return _assemble(grid, draw, *_layered_jumps(q, sigma, draw))
-
-
-def _check_rejection(alpha: float, beta: float, base: str) -> None:
-    # written so that a NaN index fails every comparison and is rejected
-    if not 0.0 < alpha < beta < np.inf:
-        raise ValueError(f"rejection construction needs 0 < alpha < beta < inf, "
-                         f"got alpha={alpha}, beta={beta}")
-    if base not in ("inner", "outer"):
-        raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
-    if base == "outer" and not beta < 2.0:
-        raise ValueError("outer base needs a beta-stable series, beta < 2")
-
-
-def _rejection_jumps(alpha: float, beta: float, sigma: SphericalMeasure,
-                     draw: ShotNoiseDraw, base: str):
-    _check_rejection(alpha, beta, base)
-    if draw.rejects is None:
-        raise ValueError("draw carries no rejection uniforms")
-    if not sigma.is_symmetric():
-        raise ValueError("rejection construction implemented for symmetric measures only")
-    mT = sigma.total_mass() * draw.T
-    if base == "inner":
-        cand = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
-        ratio = np.where(cand <= 1.0, 1.0, cand ** (alpha - beta))
-    else:
-        cand = (beta * draw.gammas / mT) ** (-1.0 / beta)
-        ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
-    return cand, None, draw.rejects <= ratio
-
-
-def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
-                           draw: ShotNoiseDraw, base: str, grid) -> SamplePath:
-    """Layered path by thinning a stable series (inner or outer base)."""
-    return _assemble(grid, draw, *_rejection_jumps(alpha, beta, sigma, draw, base))
-
-
-def _mixed_jumps(sigma: SphericalMeasure, draw: ShotNoiseDraw):
-    if draw.alphas is None:
-        raise ValueError("draw carries no mixing indices")
-    if not sigma.is_symmetric():
-        raise ValueError("mixed stable series requires a symmetric measure")
-    mT = sigma.total_mass() * draw.T
-    a = draw.alphas
-    mags = (a * draw.gammas / mT) ** (-1.0 / a)
-    return mags, None, None
-
-
-def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
-               draw: ShotNoiseDraw, grid) -> SamplePath:
-    """Series path whose i-th jump obeys the random stability index alpha_i."""
-    return _assemble(grid, draw, *_mixed_jumps(sigma, draw))
-
-
 @dataclass(frozen=True)
 class SeriesLaw:
-    """One series process as a jump map: jumps(draw) gives the magnitudes,
-    the drift (None for none) and the keep mask (None for all) of the draw,
-    which carries the draw_options the map reads.  path(draw, grid) assembles
-    them on a grid and terminal(draw) sums them at T without one.
-    truncation_bound(cap) bounds every term the cap discards (for rejection,
-    the base series' terms; for a mix, those of each atom)."""
+    """One series process, built and checked once by its constructor
+    (stable_law, layered_law, rejection_law, mixed_law), which also works out
+    the law's constants: sigma's mass and mean direction, and whether a
+    centering drift applies.  jumps(draw) does the per-draw work: the
+    magnitudes, the drift (None for none) and the keep mask (None for all)
+    of the draw, which carries the draw_options the law reads.  path(draw,
+    grid) assembles them on a grid and terminal(draw) sums them at T without
+    one.  truncation_bound(cap) bounds every term the cap discards (for
+    rejection, the base series' terms; for a mix, those of each atom)."""
 
     sigma: SphericalMeasure
     jumps: Callable[[ShotNoiseDraw], tuple]
@@ -470,24 +369,119 @@ class SeriesLaw:
 
 
 def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
-    return SeriesLaw(sigma, lambda draw: _stable_jumps(alpha, sigma, draw),
-                     lambda cap: (alpha * cap / sigma.total_mass()) ** (-1.0 / alpha))
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"stable index must lie in (0,2), got {alpha}")
+    m = sigma.total_mass()
+    z0 = sigma.mean_direction() if alpha >= 1.0 else None
+    centered = z0 is not None and np.any(z0 != 0.0)
+
+    def jumps(draw):
+        mT = m * draw.T
+        mags = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
+        if not centered:
+            return mags, None, None
+        n = draw.cutoff_index
+        comp = np.sum((alpha * np.arange(1, n + 1) / mT) ** (-1.0 / alpha))
+        return mags, (stable_drift_constant(alpha, m, draw.T) - comp) * z0 / draw.T, None
+
+    return SeriesLaw(sigma, jumps, lambda cap: (alpha * cap / m) ** (-1.0 / alpha))
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
-    return SeriesLaw(sigma, lambda draw: _layered_jumps(q, sigma, draw),
-                     lambda cap: q.series_magnitude(cap, sigma.total_mass()))
+    # canonical q: closed-form magnitudes and centering; custom q: tabled
+    # inverse tail and quadrature centering
+    m = sigma.total_mass()
+    z0 = sigma.mean_direction() if q.is_canonical else None
+    centered = np.any(np.abs(z0) > 1e-15) if q.is_canonical else not sigma.is_symmetric()
+
+    def jumps(draw):
+        n, T = draw.cutoff_index, draw.T
+        drift = None
+        if q.is_canonical:
+            mags = canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, T)
+            if centered:
+                drift = -canonical_centering_sum(q.alpha, q.beta, m, T, float(n)) * z0 / T
+        else:
+            mags = _custom_magnitudes(q, sigma, draw)
+            if centered:
+                drift = -_general_centering_sum(q, sigma, n, T) / T
+        return mags, drift, None
+
+    return SeriesLaw(sigma, jumps, lambda cap: q.series_magnitude(cap, m))
 
 
 def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
                   base: str) -> SeriesLaw:
-    _check_rejection(alpha, beta, base)
-    base_law = stable_law(alpha if base == "inner" else beta, sigma)
-    return SeriesLaw(sigma, lambda draw: _rejection_jumps(alpha, beta, sigma, draw, base),
-                     base_law.truncation_bound, {"with_rejects": True})
+    # written so that a NaN index fails every comparison and is rejected
+    if not 0.0 < alpha < beta < np.inf:
+        raise ValueError(f"rejection construction needs 0 < alpha < beta < inf, "
+                         f"got alpha={alpha}, beta={beta}")
+    if base not in ("inner", "outer"):
+        raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
+    if base == "outer" and not beta < 2.0:
+        raise ValueError("outer base needs a beta-stable series, beta < 2")
+    if not sigma.is_symmetric():
+        raise ValueError("rejection construction implemented for symmetric measures only")
+    m = sigma.total_mass()
+    index = alpha if base == "inner" else beta      # of the base stable series
+
+    def jumps(draw):
+        if draw.rejects is None:
+            raise ValueError("draw carries no rejection uniforms")
+        cand = (index * draw.gammas / (m * draw.T)) ** (-1.0 / index)
+        if base == "inner":
+            ratio = np.where(cand <= 1.0, 1.0, cand ** (alpha - beta))
+        else:
+            ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
+        return cand, None, draw.rejects <= ratio
+
+    return SeriesLaw(sigma, jumps, lambda cap: (index * cap / m) ** (-1.0 / index),
+                     {"with_rejects": True})
 
 
 def mixed_law(mix: MixDistribution, sigma: SphericalMeasure) -> SeriesLaw:
-    bounds = [stable_law(a, sigma).truncation_bound for a in mix.atoms]
-    return SeriesLaw(sigma, lambda draw: _mixed_jumps(sigma, draw),
-                     lambda cap: max(b(cap) for b in bounds), {"mix": mix})
+    if not sigma.is_symmetric():
+        raise ValueError("mixed stable series requires a symmetric measure")
+    m = sigma.total_mass()
+
+    def jumps(draw):
+        if draw.alphas is None:
+            raise ValueError("draw carries no mixing indices")
+        a = draw.alphas
+        return (a * draw.gammas / (m * draw.T)) ** (-1.0 / a), None, None
+
+    return SeriesLaw(sigma, jumps, lambda cap: max((a * cap / m) ** (-1.0 / a)
+                                                    for a in mix.atoms), {"mix": mix})
+
+
+def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,
+                grid) -> SamplePath:
+    """Truncated shot-noise series of an alpha-stable path on [0, T]."""
+    return stable_law(alpha, sigma).path(draw, grid)
+
+
+def layered_path_canonical(alpha: float, beta: float, sigma: SphericalMeasure,
+                           draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path of the canonical two-layer process."""
+    q = LayeredQ.canonical(alpha, beta, sigma.total_mass())
+    return layered_law(q, sigma).path(draw, grid)
+
+
+def layered_path_general(q: LayeredQ, sigma: SphericalMeasure,
+                         draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path for a general layered q (canonical or custom)."""
+    return layered_law(q, sigma).path(draw, grid)
+
+
+def layered_path_rejection(alpha: float, beta: float, sigma: SphericalMeasure,
+                           draw: ShotNoiseDraw, base: str, grid) -> SamplePath:
+    """Layered path by thinning a stable series (inner or outer base)."""
+    return rejection_law(alpha, beta, sigma, base).path(draw, grid)
+
+
+def mixed_path(mix: MixDistribution, sigma: SphericalMeasure,
+               draw: ShotNoiseDraw, grid) -> SamplePath:
+    """Series path whose i-th jump obeys the stability index alpha_i that the
+    draw carries (drawn from mix); mix gives the truncation bound and the
+    draw options of mixed_law."""
+    return mixed_law(mix, sigma).path(draw, grid)

@@ -462,13 +462,28 @@ def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
     def diverge(*args, **kwargs):
         raise QuadratureError("centering quadrature did not converge")
 
-    monkeypatch.setattr(series, "_layered_jumps", diverge)
+    monkeypatch.setattr(series, "canonical_magnitudes", diverge)
     code = run("simulate", "--process", "layered", "--alpha", "1.3",
                "--beta", "1.9", "--grid-n", "10", "--gamma-cap", "100",
                "--out", str(tmp_path / "run"))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "numerical error: centering quadrature did not converge\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rn", "--alpha", "1.3", "--beta", "1.9"),
+    ("tail", "--process", "stable", "--alpha", "1.3"),
+])
+def test_rn_and_tail_require_paths(argv, tmp_path, capsys):
+    # no shared default below the command's minimum: a missing paths is named
+    assert run(*argv, "--out", str(tmp_path / "r.json")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: the {argv[0]} command requires paths\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k.lstrip('-')} = {v}\n" for k, v in zip(argv[1::2], argv[2::2])))
+    assert run(argv[0], "--config", str(cfg)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: the {argv[0]} command requires paths\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_rn_equal_indices_rejected():

@@ -322,6 +322,23 @@ def test_rejection_thinning_keeps_small_inner_jumps(sym1):
     assert kept_small == n_small
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda sym, skew: stable_law(2.5, sym), "stable index"),
+    (lambda sym, skew: rejection_law(1.3, 1.9, skew, "inner"), "symmetric"),
+    (lambda sym, skew: mixed_law(MixDistribution.uniform_on([0.8, 1.5]), skew),
+     "symmetric"),
+], ids=["stable-index-2.5", "rejection-skewed", "mixed-skewed"])
+def test_law_checked_when_built(build, message, sym1, skew1, monkeypatch):
+    # a law checks its inputs when it is built, before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the law")
+
+    monkeypatch.setattr(series, "draw_shot_noise", no_draw)
+    with pytest.raises(ValueError, match=message):
+        law = build(sym1, skew1)
+        law.terminal(law.draw(0, 1.0, 100.0))
+
+
 def test_truncation_bounds(sym1):
     q = LayeredQ.canonical(1.3, 1.9, 2.0)
     b1 = layered_law(q, sym1).truncation_bound(1e4)
