@@ -298,13 +298,13 @@ _ZETA_REFERENCE = {
 }
 
 
-def _selftest_checks(zeta_fn):
+def _selftest_checks():
     sym = SphericalMeasure.symmetric_pair(2.0)
 
     def check_zeta_drift():
         worst = 0.0
         for s, ref in _ZETA_REFERENCE.items():
-            worst = max(worst, abs(zeta_fn(s) - ref))
+            worst = max(worst, abs(zeta(s) - ref))
         return worst, 1e-9, "b_T drift constant (zeta on (1/2,1))"
 
     def check_inverse_roundtrip():
@@ -358,11 +358,9 @@ def _selftest_checks(zeta_fn):
 
 
 def cmd_selftest(args) -> int:
-    # negative-control hook: --corrupt-zeta perturbs the zeta the drift check sees
-    zeta_fn = (lambda s: zeta(s) + 0.05) if args.corrupt_zeta else zeta
     failures = 0
     print(f"{'check':32s} {'value':>12s} {'limit':>12s}  result")
-    for name, fn in _selftest_checks(zeta_fn):
+    for name, fn in _selftest_checks():
         try:
             value, limit, _desc = fn()
             ok = value <= limit
@@ -433,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tail)
 
     p = add_parser("selftest", help="run the reduced invariant suite")
-    p.add_argument("--corrupt-zeta", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

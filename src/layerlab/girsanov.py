@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .mc import run_paths
-from .qfunc import LayeredQ, levy_tail_mass, limit_mean
+from .qfunc import LayeredQ, jump_mean, levy_tail_mass, limit_mean
 from .series import (SamplePath, ShotNoiseDraw, draw_shot_noise,
                      layered_path_canonical, make_grid, stable_path)
 from .spherical import SphericalMeasure
@@ -85,7 +85,7 @@ def required_drift_difference(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarra
     """The case-exact value of k0 - k1 for mutual absolute continuity."""
     a = q.alpha
     if a < 1.0:
-        return sigma.integrate(lambda xi: q.radial_moment(1, 0.0, 1.0, xi), 1)
+        return jump_mean(q, sigma, 0.0, 1.0)
 
     def correction(xi) -> float:
         # int_0^1 r (q - c1 r^{-alpha-1}) dr; identically zero for canonical q
@@ -171,15 +171,16 @@ def u_series(draw: ShotNoiseDraw, alpha: float, beta: float, sigma_mass: float,
 def _path_functional(spec: str) -> Callable[[SamplePath], float]:
     """Parse a path functional: sup-exceeds:r, terminal-exceeds:r or one."""
     name, _, arg = spec.partition(":")
-    if name == "sup-exceeds":
-        r = float(arg)
-        return lambda path: float(np.max(np.linalg.norm(path.values, axis=1)) > r)
-    if name == "terminal-exceeds":
-        r = float(arg)
-        return lambda path: float(np.linalg.norm(path.terminal) > r)
     if name == "one":
         return lambda path: 1.0
-    raise ValueError(f"unknown functional {spec!r}")
+    if name not in ("sup-exceeds", "terminal-exceeds"):
+        raise ValueError(f"unknown functional {spec!r}")
+    r = float(arg)
+    if not np.isfinite(r):
+        raise ValueError(f"functional level must be finite, got {spec!r}")
+    if name == "sup-exceeds":
+        return lambda path: float(np.max(np.linalg.norm(path.values, axis=1)) > r)
+    return lambda path: float(np.linalg.norm(path.terminal) > r)
 
 
 def rn_diagnostics(alpha: float, beta: float, sigma: SphericalMeasure,

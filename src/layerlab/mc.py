@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .qfunc import LayeredQ, jump_mean
-from .series import (MixDistribution, SeriesLaw, canonical_magnitudes, layered_law,
-                     mixed_law, rejection_law, stable_law)
+from .qfunc import LayeredQ, canonical_magnitudes, jump_mean
+from .series import (MixDistribution, SeriesLaw, layered_law, mixed_law,
+                     rejection_law, stable_law)
 from .spherical import SphericalMeasure
 
 MAX_RESULT_VALUES = 1e8    # the run-size budget of run_paths: 1e8 float64 results, 0.8 GB

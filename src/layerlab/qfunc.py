@@ -11,15 +11,15 @@ which is the mapping the shot-noise series inverts: with sigma_mass equal to
 the total mass of the accompanying spherical measure, the expected number of
 jumps of size > r on [0, T] is T * sigma_mass * Q(r).
 
-The canonical inverse is closed-form.  A custom q is inverted through a
-table built lazily once per direction xi: Q at log-spaced radii over
-[1e-8, 1e8] (a node sits at r = 1, where tail_integral splits), summed
-downward from one tail_integral anchor at the top node over Gauss-Legendre
-cell integrals in log r.  np.interp in log-log on the table gives the first
-guess, and a safeguarded Newton step in log r, with Q(r) = Q(next node) +
-the cell integral up to that node, polishes it until |Q - u| <= 1e-13 u.
-Levels outside the table, cells whose quadrature fails its check and entries
-that do not converge fall back to a Brent search over tail_integral.
+The canonical inverse is the closed form canonical_magnitudes.  A custom q
+is inverted through a table built lazily once per direction xi: Q at
+log-spaced radii over [1e-8, 1e8] (a node sits at r = 1, where tail_integral
+splits), summed downward from one tail_integral anchor at the top node over
+Gauss-Legendre cell integrals in log r.  np.interp in log-log on the table
+gives the first guess, and a safeguarded Newton step in log r, with Q(r) =
+Q(next node) + the cell integral up to that node, polishes it until
+|Q - u| <= 1e-13 u.  Levels outside the table, cells whose quadrature fails
+its check and entries that do not converge fall back to a Brent search.
 """
 
 from __future__ import annotations
@@ -227,27 +227,19 @@ class LayeredQ:
         """Generalized inverse of r -> tail_scale * Q(r, xi) at level u.
 
         u may be a scalar or a 1-d array; the result has the same shape.  The
-        canonical variant is closed-form.  A custom q is inverted on its
+        canonical variant is canonical_magnitudes.  A custom q is inverted on its
         table for xi (built on first use, then cached per xi) with a Newton
         polish to |Q - u| <= 1e-13 u; levels outside the table and entries
         the polish does not settle use the Brent search over tail_integral.
         """
         if np.ndim(u):
             u = np.asarray(u, dtype=float)
-            if np.any(u <= 0.0):
-                raise ValueError("inverse tail needs u > 0")
-            if self.is_canonical:
-                return np.array([self.inverse_tail(x) for x in u.tolist()])
-            return self._table_inverse(u, xi)
-        if u <= 0.0:
-            raise ValueError(f"inverse tail needs u > 0, got {u}")
-        a, b = self.alpha, self.beta
+        if not np.all(u > 0.0):                 # NaN fails too
+            raise ValueError("inverse tail needs u > 0" + ("" if np.ndim(u) else f", got {u}"))
         if self.is_canonical:
-            m = self.sigma_mass
-            if u <= m / b:
-                return (b * u / m) ** (-1.0 / b)
-            return (a * u / m + 1.0 - a / b) ** (-1.0 / a)
-        return float(self._table_inverse(np.array([u], dtype=float), xi)[0])
+            return canonical_magnitudes(self.alpha, self.beta, u, self.sigma_mass, 1.0)
+        out = self._table_inverse(np.atleast_1d(np.asarray(u, dtype=float)), xi)
+        return out if np.ndim(u) else float(out[0])
 
     def _table_inverse(self, u: np.ndarray, xi) -> np.ndarray:
         tab = self._table(xi)
@@ -352,14 +344,34 @@ class LayeredQ:
             np.log(lo), np.log(hi), xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
         return float(np.exp(root))
 
-    def series_magnitude(self, gamma_over_t: float, sigma_total_mass: float, xi=None) -> float:
-        """Jump magnitude assigned to a Poisson arrival at level gamma/T.
+    def series_magnitude(self, gamma_over_t, sigma_total_mass: float, xi=None):
+        """Jump magnitudes of Poisson arrivals at levels gamma/T (as inverse_tail's u).
 
         Inverts the total jump-rate tail sigma(S^{d-1}) * Q; for the canonical
         variant with sigma_mass equal to the measure's mass this is exactly
         inverse_tail(gamma/T).
         """
         return self.inverse_tail(gamma_over_t * self.tail_scale / sigma_total_mass, xi)
+
+
+def canonical_magnitudes(alpha: float, beta: float, gammas, sigma_mass: float,
+                         T: float):
+    """The canonical q's inverse tail, r with sigma_mass * T * Q(r) = gammas.
+    A scalar level stays a scalar: scalar ** is Python's to the bit, where an
+    array's may differ by one ulp, so scalar and array callers keep their bytes.
+    """
+    mT = sigma_mass * T
+    if not np.ndim(gammas):
+        if gammas <= mT / beta:
+            return (beta * gammas / mT) ** (-1.0 / beta)
+        return (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
+    # the alpha branch over all arrivals, then the few beta-branch ones
+    # overwritten; for beta < alpha the alpha base is <= 0 on those few
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
+    big = gammas <= mT / beta            # the beta branch carries the large jumps
+    out[big] = (beta * gammas[big] / mT) ** (-1.0 / beta)
+    return out
 
 
 def jump_mean(q: LayeredQ, sigma, lo: float, hi: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import EULER_GAMMA, zeta
-from .qfunc import LayeredQ
+from .qfunc import LayeredQ, canonical_magnitudes
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
@@ -278,19 +278,6 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
     return (alpha / m) ** (-1.0 / alpha) * zeta(1.0 / alpha)
 
 
-def canonical_magnitudes(alpha: float, beta: float, gammas: np.ndarray,
-                         sigma_mass: float, T: float) -> np.ndarray:
-    """Vectorized inverse tail for the canonical two-layer q."""
-    mT = sigma_mass * T
-    # the alpha branch over all arrivals, then the few beta-branch ones
-    # overwritten; for beta < alpha the alpha base is <= 0 on those few
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
-    big = gammas <= mT / beta            # the beta branch carries the large jumps
-    out[big] = (beta * gammas[big] / mT) ** (-1.0 / beta)
-    return out
-
-
 def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
                             T: float, n: float) -> float:
     """Closed-form sum of the small-jump centering integrals up to n.
@@ -327,14 +314,14 @@ def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
     # one array inverse per atom of a discrete measure, so one cached table
     # per atom; on a uniform measure q is read at xi = None (a direction-free
     # q, as SphericalMeasure.integrate takes it), so one table serves all jumps
-    levels = draw.gammas / draw.T * q.tail_scale / sigma.total_mass()
+    levels, m = draw.gammas / draw.T, sigma.total_mass()
     if sigma.is_uniform:
-        return q.inverse_tail(levels, None)
+        return q.series_magnitude(levels, m, None)
     mags = np.full_like(levels, np.nan)
     for atom in sigma.atoms:
         on_atom = np.all(draw.directions == atom, axis=1)
         if np.any(on_atom):
-            mags[on_atom] = q.inverse_tail(levels[on_atom], atom)
+            mags[on_atom] = q.series_magnitude(levels[on_atom], m, atom)
     if np.isnan(mags).any():
         raise ValueError("a jump direction is not an atom of the spherical measure")
     return mags
@@ -416,6 +403,7 @@ def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
     if not 0.0 < alpha < beta < np.inf:
         raise ValueError(f"rejection construction needs 0 < alpha < beta < inf, "
                          f"got alpha={alpha}, beta={beta}")
+    LayeredQ.canonical(alpha, beta, sigma.total_mass())     # checks alpha < 2
     if base not in ("inner", "outer"):
         raise ValueError(f"base must be 'inner' or 'outer', got {base!r}")
     if base == "outer" and not beta < 2.0:

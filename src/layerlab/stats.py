@@ -30,6 +30,15 @@ def _as_frequencies(Y, d: int) -> np.ndarray:
     return Y
 
 
+def _as_samples(samples) -> np.ndarray:
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if samples.shape[0] == 0 or bad:
+        raise ValueError(f"need n >= 1 finite samples, got shape {samples.shape} "
+                         f"with {bad} non-finite values")
+    return samples
+
+
 class StableCF:
     """Exact alpha-stable characteristic function for a spherical measure."""
 
@@ -186,9 +195,7 @@ class LayeredQuadratureCF:
 
 def ecf(samples, y) -> complex:
     """Empirical characteristic function at a single frequency y."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("ecf needs at least one sample")
+    samples = _as_samples(samples)
     y = _as_frequencies(np.reshape(y, (1, -1)), samples.shape[1])[0]
     return complex(np.mean(np.exp(1j * (samples @ y))))
 
@@ -207,7 +214,7 @@ def cf_distance(samples, target, y_grid=None) -> float:
     exponent is read once over the grid, any other callable y -> CF(y) per point.
     More than MAX_PHASE_VALUES samples x frequencies are refused before the
     default grid or the phases are built."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = _as_samples(samples)
     n, d = samples.shape
     Y = None if y_grid is None else _as_frequencies(y_grid, d)
     m = GRID_AXIS_POINTS ** d if Y is None else len(Y)

@@ -546,6 +546,24 @@ def test_limit_check_zero_paths_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_limit_check_overflowing_samples_rejected(tmp_path, capsys):
+    # at h = 1e300 the rescaled samples overflow: exit 2, not a NaN distance
+    out = tmp_path / "limit.json"
+    assert run("limit-check", "--mode", "long", "--h", "1e300", "--alpha", "1.3",
+               "--beta", "1.9", "--paths", "10", "--out", str(out)) == EXIT_CONFIG
+    assert "finite samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rejection_inner_index_two_or_more_rejected(tmp_path, capsys):
+    out = tmp_path / "rj"
+    assert run("simulate", "--process", "layered-rejection", "--alpha", "2.5",
+               "--beta", "3", "--grid-n", "5", "--gamma-cap", "50",
+               "--out", str(out)) == EXIT_CONFIG
+    assert "inner index alpha must lie in (0,2)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rn_one_path_rejected(tmp_path):
     out = tmp_path / "rn.json"
     assert run("rn", "--alpha", "1.3", "--beta", "1.9", "--paths", "1",
@@ -599,13 +617,16 @@ def test_io_error_exit_code(tmp_path):
                "--out", str(missing)) == EXIT_IO
 
 
-def test_selftest_corrupt_zeta_fails(capsys):
-    code = run("selftest", "--corrupt-zeta")
+def test_selftest_corrupt_zeta_fails(monkeypatch, capsys):
+    # negative control: a zeta off by 0.05 must fail the drift-constant row
+    import layerlab.cli as cli
+    from layerlab import zeta
+    monkeypatch.setattr(cli, "zeta", lambda s: zeta(s) + 0.05)
+    code = run("selftest")
     out = capsys.readouterr().out
     assert code == EXIT_CHECK_FAILED
     assert "b_T-zeta" in out
     line = [l for l in out.splitlines() if l.startswith("b_T-zeta")][0]
     assert "FAIL" in line
     # the corruption must not leak into the process
-    from layerlab import zeta
     assert abs(zeta(1.0 / 1.5) - (-2.4475807362336582)) < 1e-12

@@ -239,6 +239,13 @@ def test_rn_diagnostics_constant_functional(sym1):
         rn_diagnostics(1.5, 1.5, sym1, "one", 4, seed=3)
 
 
+@pytest.mark.parametrize("spec", ["sup-exceeds:nan", "terminal-exceeds:inf",
+                                  "sup-exceeds:-inf"])
+def test_rn_diagnostics_refuses_non_finite_level(sym1, spec):
+    with pytest.raises(ValueError, match="must be finite"):
+        rn_diagnostics(1.3, 1.9, sym1, spec, 4, seed=3, grid_n=4, gamma_cap=50.0)
+
+
 def test_rn_diagnostics_independent_of_thread_count(monkeypatch, sym1):
     reports = []
     for threads in ("1", "2"):

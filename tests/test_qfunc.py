@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerlab import (LayeredQ, SphericalMeasure, blend_q, levy_tail_mass,
-                      parse_q_spec)
+from layerlab import (LayeredQ, SphericalMeasure, blend_q, canonical_magnitudes,
+                      levy_tail_mass, parse_q_spec)
 from layerlab.qfunc import limit_mean
 
 
@@ -62,6 +62,34 @@ def test_inverse_tail_nonincreasing(q_can):
     us = np.logspace(-3, 3, 200)
     vals = [q_can.inverse_tail(u) for u in us]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("alpha, beta, mass", [(1.3, 1.9, 2.0), (1.9, 1.3, 1.0),
+                                               (0.5, 1.5, 3.0)])
+def test_canonical_inverse_is_one_copy(alpha, beta, mass):
+    # the array inverse is canonical_magnitudes byte for byte, the scalar one
+    # the closed form in Python floats, and u = m/beta maps to exactly 1
+    q = LayeredQ.canonical(alpha, beta, mass)
+    us = mass / beta * np.logspace(-8.0, 8.0, 401)
+    assert us.min() < mass / beta < us.max()
+    got = q.inverse_tail(us)
+    assert got.tobytes() == canonical_magnitudes(alpha, beta, us, mass, 1.0).tobytes()
+    for u in us.tolist():
+        ref = ((beta * u / mass) ** (-1.0 / beta) if u <= mass / beta
+               else (alpha * u / mass + 1.0 - alpha / beta) ** (-1.0 / alpha))
+        assert q.inverse_tail(u) == ref
+    assert q.inverse_tail(mass / beta) == 1.0
+
+
+@pytest.mark.parametrize("q", [LayeredQ.canonical(1.3, 1.9, 2.0), blend_q(1.3, 1.9)],
+                         ids=["canonical", "blend"])
+def test_inverse_tail_refuses_bad_levels(q):
+    # a NaN level is refused like u <= 0, scalar or in an array
+    for u in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="u > 0"):
+            q.inverse_tail(u)
+        with pytest.raises(ValueError, match="u > 0"):
+            q.inverse_tail(np.array([1.0, u]))
 
 
 @settings(max_examples=60, deadline=None)

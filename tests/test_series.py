@@ -309,6 +309,9 @@ def test_rejection_needs_rejects_and_order(sym1):
         layered_path_rejection(1.9, 1.3, sym1, draw, "inner", make_grid(1.0, 4))
     with pytest.raises(ValueError):
         layered_path_rejection(1.3, 2.5, sym1, draw, "outer", make_grid(1.0, 4))
+    # r^(-1-alpha) with alpha >= 2 is not a Levy density near 0
+    with pytest.raises(ValueError, match=r"inner index alpha must lie in \(0,2\)"):
+        rejection_law(2.5, 3.0, sym1, "inner")
 
 
 def test_rejection_thinning_keeps_small_inner_jumps(sym1):

@@ -162,6 +162,18 @@ def test_ecf_basics():
         ecf(np.empty((0, 1)), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.empty((0, 1)), np.array([[0.5], [np.inf]]),
+                                 np.array([[np.nan, 1.0]])],
+                         ids=["empty", "inf", "nan"])
+def test_ecf_and_cf_distance_refuse_bad_samples(bad):
+    # one check for both: a ValueError, not a NaN distance
+    target = GaussianCF(np.eye(bad.shape[1]))
+    with pytest.raises(ValueError, match="finite samples"):
+        ecf(bad, np.ones(bad.shape[1]))
+    with pytest.raises(ValueError, match="finite samples"):
+        cf_distance(bad, target)
+
+
 def test_default_y_grid_shapes():
     g1 = default_y_grid(1)
     assert g1.shape == (21, 1)
