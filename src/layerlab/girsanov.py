@@ -161,6 +161,8 @@ def u_series(draw: ShotNoiseDraw, alpha: float, beta: float, sigma_mass: float,
         idx = beta
     else:
         raise ValueError(f"which must be 'prime' or 'doubleprime', got {which!r}")
+    # arg is the base of qfunc.stable_magnitudes; the log of the base is not
+    # the log of the magnitude byte for byte, so the base is written out here
     mT = sigma_mass * draw.T
     arg = idx * draw.gammas / mT
     keep = (arg <= 1.0) & (draw.times <= t)
@@ -170,8 +172,10 @@ def u_series(draw: ShotNoiseDraw, alpha: float, beta: float, sigma_mass: float,
 
 def _path_functional(spec: str) -> Callable[[SamplePath], float]:
     """Parse a path functional: sup-exceeds:r, terminal-exceeds:r or one."""
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name == "one":
+        if colon:
+            raise ValueError(f"functional 'one' takes no level, got {spec!r}")
         return lambda path: 1.0
     if name not in ("sup-exceeds", "terminal-exceeds"):
         raise ValueError(f"unknown functional {spec!r}")

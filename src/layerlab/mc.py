@@ -48,6 +48,12 @@ def substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
+def _check_run_size(n_paths: int, d: int) -> None:
+    if n_paths * d > MAX_RESULT_VALUES:
+        raise ValueError(f"{n_paths} paths x {d} values exceed the run-size budget "
+                         f"of {MAX_RESULT_VALUES:.0e} results (0.8 GB)")
+
+
 def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
               n_paths: int, seed: int, d: int,
               threads: int | None = None) -> np.ndarray:
@@ -55,9 +61,7 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
     threads = worker_count() if threads is None else threads
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if n_paths * d > MAX_RESULT_VALUES:
-        raise ValueError(f"{n_paths} paths x {d} values exceed the run-size budget "
-                         f"of {MAX_RESULT_VALUES:.0e} results (0.8 GB)")
+    _check_run_size(n_paths, d)
     out = np.empty((n_paths, d))
     # results do not depend on the thread count, so capping it changes nothing
     threads = min(threads, os.cpu_count() or 1)
@@ -142,9 +146,7 @@ def _gaussian_compensated_terminals(q: LayeredQ, sigma: SphericalMeasure,
     # run_paths sees blocks, so the caller's count is checked here
     if n_paths < 0:
         raise ValueError(f"need a path count >= 0, got {n_paths}")
-    if n_paths * d > MAX_RESULT_VALUES:
-        raise ValueError(f"{n_paths} paths x {d} values exceed the run-size budget "
-                         f"of {MAX_RESULT_VALUES:.0e} results (0.8 GB)")
+    _check_run_size(n_paths, d)
     tail = q.tail_integral(r_cut)
     rate = horizon * m * tail
     u_cut = m * tail

@@ -327,7 +327,7 @@ class LayeredQ:
         a, b = self.alpha, self.beta
         q1 = self.tail_integral(1.0, xi)
         if u <= q1:
-            guess = (b * u / self.c2(xi)) ** (-1.0 / b)
+            guess = stable_magnitudes(b, u, self.c2(xi), 1.0)
         else:
             guess = (1.0 + a * (u - q1) / self.c1(xi)) ** (-1.0 / a)
         lo, hi = guess / 4.0, guess * 4.0
@@ -354,23 +354,30 @@ class LayeredQ:
         return self.inverse_tail(gamma_over_t * self.tail_scale / sigma_total_mass, xi)
 
 
+def stable_magnitudes(alpha, gammas, sigma_mass: float, T: float):
+    """The alpha-stable series' inverse tail, r with sigma_mass * T * r^(-alpha)
+    / alpha = gammas; alpha may be an array, one index per level.  A scalar
+    level stays a scalar and takes Python's **, an array takes the array's."""
+    return (alpha * gammas / (sigma_mass * T)) ** (-1.0 / alpha)
+
+
 def canonical_magnitudes(alpha: float, beta: float, gammas, sigma_mass: float,
                          T: float):
-    """The canonical q's inverse tail, r with sigma_mass * T * Q(r) = gammas.
-    A scalar level stays a scalar: scalar ** is Python's to the bit, where an
-    array's may differ by one ulp, so scalar and array callers keep their bytes.
-    """
+    """The canonical q's inverse tail, r with sigma_mass * T * Q(r) = gammas;
+    its beta branch is stable_magnitudes.  A scalar level stays a scalar:
+    scalar ** is Python's to the bit, where an array's may differ by one ulp,
+    so scalar and array callers keep their bytes."""
     mT = sigma_mass * T
     if not np.ndim(gammas):
         if gammas <= mT / beta:
-            return (beta * gammas / mT) ** (-1.0 / beta)
+            return stable_magnitudes(beta, gammas, sigma_mass, T)
         return (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
     # the alpha branch over all arrivals, then the few beta-branch ones
     # overwritten; for beta < alpha the alpha base is <= 0 on those few
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (alpha * gammas / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
     big = gammas <= mT / beta            # the beta branch carries the large jumps
-    out[big] = (beta * gammas[big] / mT) ** (-1.0 / beta)
+    out[big] = stable_magnitudes(beta, gammas[big], sigma_mass, T)
     return out
 
 

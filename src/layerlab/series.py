@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import EULER_GAMMA, zeta
-from .qfunc import LayeredQ, canonical_magnitudes
+from .qfunc import LayeredQ, canonical_magnitudes, stable_magnitudes
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
@@ -275,7 +275,7 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
         return 0.0
     if alpha == 1.0:
         return m * (EULER_GAMMA + np.log(m))
-    return (alpha / m) ** (-1.0 / alpha) * zeta(1.0 / alpha)
+    return stable_magnitudes(alpha, 1.0, sigma_mass, T) * zeta(1.0 / alpha)
 
 
 def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
@@ -363,15 +363,14 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
     centered = z0 is not None and np.any(z0 != 0.0)
 
     def jumps(draw):
-        mT = m * draw.T
-        mags = (alpha * draw.gammas / mT) ** (-1.0 / alpha)
+        mags = stable_magnitudes(alpha, draw.gammas, m, draw.T)
         if not centered:
             return mags, None, None
         n = draw.cutoff_index
-        comp = np.sum((alpha * np.arange(1, n + 1) / mT) ** (-1.0 / alpha))
+        comp = np.sum(stable_magnitudes(alpha, np.arange(1, n + 1), m, draw.T))
         return mags, (stable_drift_constant(alpha, m, draw.T) - comp) * z0 / draw.T, None
 
-    return SeriesLaw(sigma, jumps, lambda cap: (alpha * cap / m) ** (-1.0 / alpha))
+    return SeriesLaw(sigma, jumps, lambda cap: stable_magnitudes(alpha, cap, m, 1.0))
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
@@ -394,7 +393,10 @@ def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
                 drift = -_general_centering_sum(q, sigma, n, T) / T
         return mags, drift, None
 
-    return SeriesLaw(sigma, jumps, lambda cap: q.series_magnitude(cap, m))
+    # a direction-dependent q discards different jumps on each atom
+    atoms = [None] if sigma.is_uniform else sigma.atoms
+    return SeriesLaw(sigma, jumps, lambda cap: max(q.series_magnitude(cap, m, xi)
+                                                   for xi in atoms))
 
 
 def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
@@ -416,14 +418,14 @@ def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,
     def jumps(draw):
         if draw.rejects is None:
             raise ValueError("draw carries no rejection uniforms")
-        cand = (index * draw.gammas / (m * draw.T)) ** (-1.0 / index)
+        cand = stable_magnitudes(index, draw.gammas, m, draw.T)
         if base == "inner":
             ratio = np.where(cand <= 1.0, 1.0, cand ** (alpha - beta))
         else:
             ratio = np.where(cand <= 1.0, cand ** (beta - alpha), 1.0)
         return cand, None, draw.rejects <= ratio
 
-    return SeriesLaw(sigma, jumps, lambda cap: (index * cap / m) ** (-1.0 / index),
+    return SeriesLaw(sigma, jumps, lambda cap: stable_magnitudes(index, cap, m, 1.0),
                      {"with_rejects": True})
 
 
@@ -435,11 +437,10 @@ def mixed_law(mix: MixDistribution, sigma: SphericalMeasure) -> SeriesLaw:
     def jumps(draw):
         if draw.alphas is None:
             raise ValueError("draw carries no mixing indices")
-        a = draw.alphas
-        return (a * draw.gammas / (m * draw.T)) ** (-1.0 / a), None, None
+        return stable_magnitudes(draw.alphas, draw.gammas, m, draw.T), None, None
 
-    return SeriesLaw(sigma, jumps, lambda cap: max((a * cap / m) ** (-1.0 / a)
-                                                    for a in mix.atoms), {"mix": mix})
+    return SeriesLaw(sigma, jumps, lambda cap: max(stable_magnitudes(a, cap, m, 1.0)
+                                                   for a in mix.atoms), {"mix": mix})
 
 
 def stable_path(alpha: float, sigma: SphericalMeasure, draw: ShotNoiseDraw,

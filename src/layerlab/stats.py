@@ -31,7 +31,10 @@ def _as_frequencies(Y, d: int) -> np.ndarray:
 
 
 def _as_samples(samples) -> np.ndarray:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] == 0:
+        raise ValueError(f"need samples as an (n, d >= 1) array, "
+                         f"got shape {samples.shape}")
     bad = samples.size - np.count_nonzero(np.isfinite(samples))
     if samples.shape[0] == 0 or bad:
         raise ValueError(f"need n >= 1 finite samples, got shape {samples.shape} "

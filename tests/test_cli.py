@@ -490,6 +490,17 @@ def test_rn_equal_indices_rejected():
     assert run("rn", "--alpha", "1.5", "--beta", "1.5") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spec", ["one:3", "one:"])
+def test_rn_constant_functional_takes_no_level(spec, tmp_path, capsys):
+    # a level after `one` would be ignored, so it is refused
+    assert run("rn", "--alpha", "1.3", "--beta", "1.9", "--paths", "4", "--grid-n", "4",
+               "--gamma-cap", "50", "--functional", spec,
+               "--out", str(tmp_path / "rn.json")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(spec) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rn_report(tmp_path):
     out = tmp_path / "rn.json"
     code = run("rn", "--alpha", "1.3", "--beta", "1.9", "--paths", "600",

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerlab import (LayeredQ, SphericalMeasure, blend_q, canonical_magnitudes,
-                      levy_tail_mass, parse_q_spec)
-from layerlab.qfunc import limit_mean
+from layerlab import (LayeredQ, MixDistribution, SphericalMeasure, blend_q,
+                      canonical_magnitudes, levy_tail_mass, mixed_law, parse_q_spec,
+                      rejection_law, stable_drift_constant, stable_law, zeta)
+from layerlab.qfunc import limit_mean, stable_magnitudes
 
 
 @pytest.fixture
@@ -79,6 +80,51 @@ def test_canonical_inverse_is_one_copy(alpha, beta, mass):
                else (alpha * u / mass + 1.0 - alpha / beta) ** (-1.0 / alpha))
         assert q.inverse_tail(u) == ref
     assert q.inverse_tail(mass / beta) == 1.0
+
+
+@pytest.mark.parametrize("alpha, beta, T", [(1.3, 1.9, 1.0), (0.5, 1.5, 0.7),
+                                            (1.5, 1.0, 1.5), (1.9, 0.8, 1.0)])
+def test_stable_inverse_is_one_copy(alpha, beta, T):
+    # every stable-index magnitude, bound and centering sum of the series, and
+    # the canonical beta branch, is stable_magnitudes byte for byte
+    sym = SphericalMeasure.symmetric_pair(2.0)
+    skew = SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0])
+    mix = MixDistribution.uniform_on([alpha, beta])
+    lo, hi = min(alpha, beta), max(alpha, beta)
+    laws = [(stable_law(alpha, skew), alpha), (mixed_law(mix, sym), None),
+            (rejection_law(lo, hi, sym, "inner"), lo)]
+    if hi < 2.0:
+        laws.append((rejection_law(lo, hi, sym, "outer"), hi))
+    for law, index in laws:
+        m = law.sigma.total_mass()
+        draw = law.draw(11, T, 300.0)
+        index_of_jump = draw.alphas if index is None else index
+        mags, drift, _ = law.jumps(draw)
+        want = stable_magnitudes(index_of_jump, draw.gammas, m, T)
+        assert mags.tobytes() == want.tobytes()
+        bound = (max(stable_magnitudes(a, 300.0, m, 1.0) for a in mix.atoms)
+                 if index is None else stable_magnitudes(index, 300.0, m, 1.0))
+        assert law.truncation_bound(300.0) == bound
+        if drift is not None:
+            # the stable centering: b_T minus the sum over the arrivals 1..n
+            arrivals = np.arange(1, len(draw.gammas) + 1)
+            comp = np.sum(stable_magnitudes(alpha, arrivals, m, T))
+            assert stable_drift_constant(alpha, m, T) == (
+                stable_magnitudes(alpha, 1.0, m, T) * zeta(1.0 / alpha))
+            z0 = law.sigma.mean_direction()
+            want = (stable_drift_constant(alpha, m, T) - comp) * z0 / T
+            assert drift.tobytes() == want.tobytes()
+    mT = 2.0 * T
+    us = mT / beta * np.logspace(-8.0, 8.0, 401)
+    big = us <= mT / beta
+    got = canonical_magnitudes(alpha, beta, us, 2.0, T)
+    assert got[big].tobytes() == stable_magnitudes(beta, us[big], 2.0, T).tobytes()
+    for u in us[big].tolist():
+        assert (canonical_magnitudes(alpha, beta, u, 2.0, T)
+                == stable_magnitudes(beta, u, 2.0, T))
+        # a scalar level stays a scalar, the closed form in Python floats
+        r = stable_magnitudes(alpha, u, 2.0, T)
+        assert np.ndim(r) == 0 and r == (alpha * u / mT) ** (-1.0 / alpha)
 
 
 @pytest.mark.parametrize("q", [LayeredQ.canonical(1.3, 1.9, 2.0), blend_q(1.3, 1.9)],

@@ -210,14 +210,14 @@ def test_general_centering_nonconvergence_raises(skew1, monkeypatch):
 
 
 def test_custom_tables_bounded_by_atoms(skew1):
-    # one table per atom of a discrete measure, plus the xi = None table
+    # one table per atom of a discrete measure, which the bound reads too
     from layerlab import blend_q
     q = blend_q(1.3, 1.9)
     layered_law(q, skew1).truncation_bound(50.0)
     for seed in range(3):
         draw = draw_shot_noise(seed, 1.0, skew1, 50.0)
         layered_path_general(q, skew1, draw, make_grid(1.0, 10))
-    assert 0 < len(q._tables) <= len(skew1.atoms) + 1
+    assert len(q._tables) == len(skew1.atoms)
 
 
 def test_custom_tables_shared_across_threads(skew1):
@@ -357,6 +357,27 @@ def test_truncation_bounds(sym1):
     mix = MixDistribution.uniform_on([0.8, 1.5])
     assert (mixed_law(mix, sym1).truncation_bound(1e4)
             == stable_law(1.5, sym1).truncation_bound(1e4))
+
+
+def test_truncation_bound_of_a_direction_dependent_q():
+    # on a discrete measure the bound is the largest over the atoms: q_dir's
+    # largest discarded jumps sit on (1, 0), above those of q at xi = None
+    atoms3 = SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
+                                       [1.0, 0.6, 0.4])
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    q_dir = LayeredQ.custom(1.5, 0.8,
+                            lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                            c_dir, lambda xi: 1.0)
+    m = atoms3.total_mass()
+    bound = layered_law(q_dir, atoms3).truncation_bound(200.0)
+    assert bound == q_dir.series_magnitude(200.0, m, atoms3.atoms[0])
+    assert bound > q_dir.series_magnitude(200.0, m)
+    for atom in atoms3.atoms:
+        assert q_dir.series_magnitude(200.0 * (1 + 1e-9), m, atom) < bound
+    # a direction-free q keeps the bound it has at xi = None
+    from layerlab import blend_q
+    at_none = blend_q(1.3, 1.9).series_magnitude(200.0, m)
+    assert layered_law(blend_q(1.3, 1.9), atoms3).truncation_bound(200.0) == at_none
 
 
 def test_draw_budget_rejects_before_drawing(sym1):

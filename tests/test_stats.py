@@ -174,6 +174,21 @@ def test_ecf_and_cf_distance_refuse_bad_samples(bad):
         cf_distance(bad, target)
 
 
+@pytest.mark.parametrize("bad", [np.random.default_rng(5).standard_normal(5), 0.5,
+                                 np.zeros((4, 1, 1)), np.zeros((4, 0))],
+                         ids=["flat", "scalar", "3-d", "d=0"])
+def test_ecf_and_cf_distance_refuse_samples_not_n_by_d(bad, monkeypatch):
+    # a flat array of n values is not n samples in d = 1 (nor one in d = n):
+    # it is refused before the default grid or any phase is built
+    from layerlab import stats
+    monkeypatch.setattr(stats, "default_y_grid", lambda d: pytest.fail("built a grid"))
+    shape = re.escape(str(np.shape(bad)))
+    with pytest.raises(ValueError, match=r"\(n, d >= 1\) array, got shape " + shape):
+        ecf(bad, np.ones(1))
+    with pytest.raises(ValueError, match=r"\(n, d >= 1\) array, got shape " + shape):
+        cf_distance(bad, GaussianCF([[1.0]]))
+
+
 def test_default_y_grid_shapes():
     g1 = default_y_grid(1)
     assert g1.shape == (21, 1)
