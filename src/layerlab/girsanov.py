@@ -161,6 +161,8 @@ def u_series(draw: ShotNoiseDraw, alpha: float, beta: float, sigma_mass: float,
         idx = beta
     else:
         raise ValueError(f"which must be 'prime' or 'doubleprime', got {which!r}")
+    if draw.times is None:
+        raise ValueError("draw carries no jump times (a terminal-only draw)")
     # arg is the base of qfunc.stable_magnitudes; the log of the base is not
     # the log of the magnitude byte for byte, so the base is written out here
     mT = sigma_mass * draw.T

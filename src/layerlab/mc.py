@@ -36,10 +36,9 @@ MAX_BLOCK_PATHS = 256
 def worker_count() -> int:
     env = os.environ.get("LAYERLAB_THREADS")
     if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("LAYERLAB_THREADS must be >= 1")
-        return n
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"LAYERLAB_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 
@@ -84,10 +83,11 @@ def run_paths(fn: Callable[[np.random.SeedSequence, int], np.ndarray],
 
 def terminals(law: SeriesLaw, n_paths: int, seed: int, T: float = 1.0,
               gamma_cap: float = 1e4, threads: int | None = None) -> np.ndarray:
-    """X_T of the law's series on each per-path substream, without a grid."""
+    """X_T of the law's series on each per-path substream, without a grid or
+    jump times: the path's X_T unless a skipped time was 0.0 (about n 2^-53)."""
 
     def one(ss, _i):
-        return law.terminal(law.draw(ss, T, gamma_cap))
+        return law.terminal(law.draw(ss, T, gamma_cap, _times=False))
 
     return run_paths(one, n_paths, seed, law.sigma.dimension, threads)
 

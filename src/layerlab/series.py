@@ -19,6 +19,11 @@ exactly against the grid; only a guess that fails the check is searched, so
 the cells equal np.searchsorted on any grid.  terminal(draw) builds no grid:
 it is the sequential sum of the kept jumps in arrival order plus T times the
 drift, the same floating-point operations as the path on [0, T] at its end.
+
+A terminal reads no jump time, so mc.terminals draws none: the PCG64
+generator advances past them and every later sequence keeps its bytes.  The
+terminal then differs from the path end on [0, T] only if a skipped time was
+exactly 0.0 (probability 2^-53 a jump, about 1e-12 a path at 1e4 arrivals).
 """
 
 from __future__ import annotations
@@ -53,12 +58,13 @@ class ShotNoiseDraw:
     gammas are the unit-rate Poisson arrivals kept below gamma_cap * T,
     times are iid uniform on [0, T], directions are iid from the normalized
     spherical measure.  rejects (uniform [0,1]) and alphas (mixing indices)
-    are populated on request.
+    are populated on request.  times is None on a terminal-only draw (see
+    the module docstring); path builders and girsanov.u_series refuse it.
     """
 
     T: float
     gammas: np.ndarray
-    times: np.ndarray
+    times: np.ndarray | None
     directions: np.ndarray
     rejects: np.ndarray | None = None
     alphas: np.ndarray | None = None
@@ -68,11 +74,12 @@ class ShotNoiseDraw:
         if n:
             if self.gammas[0] <= 0.0 or np.any(np.diff(self.gammas) <= 0.0):
                 raise ValueError("gammas must be strictly increasing and positive")
-        if len(self.times) != n or len(self.directions) != n:
+        if len(self.directions) != n:
             raise ValueError("sequence length mismatch")
-        if not np.all((self.times >= 0.0) & (self.times <= self.T)):    # NaN too
+        if self.times is not None and not np.all(
+                (self.times >= 0.0) & (self.times <= self.T)):    # NaN too
             raise ValueError("jump times must lie in [0, T]")
-        for opt in (self.rejects, self.alphas):
+        for opt in (self.times, self.rejects, self.alphas):
             if opt is not None and len(opt) != n:
                 raise ValueError("sequence length mismatch")
 
@@ -145,11 +152,12 @@ def make_grid(T: float, n: int) -> np.ndarray:
 
 
 def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
-                    with_rejects: bool = False,
-                    mix: MixDistribution | None = None) -> ShotNoiseDraw:
+                    with_rejects: bool = False, mix: MixDistribution | None = None,
+                    *, _times: bool = True) -> ShotNoiseDraw:
     """Generate the shared sequences; deterministic for a fixed seed.
 
-    seed may be an integer or a numpy SeedSequence (for parallel substreams).
+    seed may be an integer or a numpy SeedSequence (for parallel substreams);
+    it seeds a PCG64 generator.  _times=False (mc.terminals) draws no times.
     """
     if not (gamma_cap > 0.0 and T > 0.0):
         raise ValueError(f"gamma_cap and T must be positive, got {gamma_cap} and {T}")
@@ -157,7 +165,7 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
     if size > MAX_ARRIVALS:
         raise ValueError(f"gamma_cap * T * dimension = {size:.3g} exceeds the budget "
                          f"of {MAX_ARRIVALS:.3g} arrival values per draw")
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     cap = gamma_cap * T
     # draw exponential increments in blocks until the cumulative sum passes cap
     chunks = []
@@ -171,10 +179,13 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
         if total > cap:
             break
         remaining = cap - total
-    gammas = np.cumsum(np.concatenate(chunks))
+    gammas = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    gammas = np.cumsum(gammas, out=gammas)
     gammas = gammas[:np.searchsorted(gammas, cap, side="right")]    # increasing
     n = len(gammas)
-    times = rng.uniform(0.0, T, n)
+    times = rng.uniform(0.0, T, n) if _times else None
+    if not _times:      # uniform takes one PCG64 output a value: the same state
+        rng.bit_generator.advance(n)
     directions = sigma.sample_directions(rng, n)
     rejects = rng.random(n) if with_rejects else None
     alphas = mix.sample(rng, n) if mix is not None else None
@@ -220,7 +231,8 @@ def _kept(draw: ShotNoiseDraw, mags, keep):
     keep = above_floor if keep is None else keep & above_floor
     if keep.all():
         return draw.times, mags, draw.directions
-    return draw.times[keep], mags[keep], draw.directions[keep]
+    times = None if draw.times is None else draw.times[keep]
+    return times, mags[keep], draw.directions[keep]
 
 
 def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SamplePath:
@@ -229,6 +241,8 @@ def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SampleP
     # (checked arithmetic, _grid_cells), the cells are summed in arrival
     # order and accumulated along the grid, and the drift is linear in t;
     # jumps after grid[-1] land in a dropped bin
+    if draw.times is None:
+        raise ValueError("draw carries no jump times (a terminal-only draw)")
     grid = _check_grid(grid, draw.T)
     d = draw.directions.shape[1]
     n = len(grid)
@@ -252,11 +266,12 @@ def _terminal(draw: ShotNoiseDraw, mags, drift=None, keep=None) -> np.ndarray:
     # at t = 0 (cell 0) and the others (cell 1), each sequentially in
     # arrival order from 0.0, and the running sum adds the two cells before
     # T * drift.  cumsum is the sequential sum (np.sum is pairwise), and
-    # adding each part to 0.0 gives the signed zeros bincount gives
+    # adding each part to 0.0 gives the signed zeros bincount gives.  A
+    # time-less draw (or one with no jump at t = 0) is summed in one pass
     times, mags, directions = _kept(draw, mags, keep)
     d = directions.shape[1]
     drift = np.zeros(d) if drift is None else drift
-    at_zero = times == 0.0
+    at_zero = np.False_ if times is None else times == 0.0
     cells = (at_zero, ~at_zero) if at_zero.any() else (slice(None),)
     total = np.zeros(d)
     for k in range(d):
@@ -344,14 +359,17 @@ class SeriesLaw:
     truncation_bound: Callable[[float], float]
     draw_options: dict = field(default_factory=dict)
 
-    def draw(self, seed, T: float, gamma_cap: float) -> ShotNoiseDraw:
-        return draw_shot_noise(seed, T, self.sigma, gamma_cap, **self.draw_options)
+    def draw(self, seed, T: float, gamma_cap: float, *,
+             _times: bool = True) -> ShotNoiseDraw:
+        return draw_shot_noise(seed, T, self.sigma, gamma_cap, _times=_times,
+                               **self.draw_options)
 
     def path(self, draw: ShotNoiseDraw, grid) -> SamplePath:
         return _assemble(grid, draw, *self.jumps(draw))
 
     def terminal(self, draw: ShotNoiseDraw) -> np.ndarray:
-        """X_T, equal byte for byte to path(draw, [0, T]).terminal."""
+        """X_T, equal byte for byte to path(draw, [0, T]).terminal; a draw
+        without times (mc.terminals) gives it unless a skipped time was 0.0."""
         return _terminal(draw, *self.jumps(draw))
 
 

@@ -348,6 +348,18 @@ def test_non_finite_beta_exit_config(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-1"])
+def test_bad_thread_count_exits_2_naming_the_variable(value, tmp_path):
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"LAYERLAB_THREADS": value}), \
+            contextlib.redirect_stderr(err):
+        code = run("tail", "--process", "layered", "--alpha", "1.3", "--beta", "1.9",
+                   "--gamma-cap", "100", "--paths", "1000",
+                   "--out", str(tmp_path / "t.json"))
+    assert code == EXIT_CONFIG
+    assert "LAYERLAB_THREADS" in err.getvalue() and repr(value) in err.getvalue()
+
+
 # the smallest valid run of each command; the property below breaks one key
 _SMALL_RUNS = {
     "simulate": {"process": "layered", "alpha": "1.3", "beta": "1.9", "T": "1",

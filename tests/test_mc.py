@@ -10,13 +10,14 @@ import pytest
 
 import layerlab.mc as mc
 from layerlab import (LayeredQ, LayeredQuadratureCF, MixDistribution,
-                      SphericalMeasure, StableCF, auto_r_cut, canonical_magnitudes,
-                      cf_distance, default_y_grid, draw_shot_noise,
-                      layered_path_canonical,
+                      SphericalMeasure, StableCF, auto_r_cut, blend_q,
+                      canonical_magnitudes, cf_distance, default_y_grid,
+                      draw_shot_noise, layered_law, layered_path_canonical,
                       layered_path_rejection, layered_terminals,
-                      layered_terminals_gaussian, mixed_path, mixed_terminals,
-                      rejection_terminals, run_paths, stable_path,
-                      stable_terminals, stable_terminals_gaussian, substream,
+                      layered_terminals_gaussian, mixed_law, mixed_path,
+                      mixed_terminals, rejection_law, rejection_terminals,
+                      run_paths, stable_law, stable_path, stable_terminals,
+                      stable_terminals_gaussian, substream, terminals,
                       worker_count)
 from layerlab.qfunc import jump_mean
 
@@ -106,6 +107,9 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAYERLAB_THREADS", "0")
     with pytest.raises(ValueError):
         worker_count()
+    # an empty value means unset
+    monkeypatch.setenv("LAYERLAB_THREADS", "")
+    assert worker_count() == (mc.os.cpu_count() or 1)
 
 
 def test_stable_terminals_deterministic(sym1):
@@ -148,6 +152,50 @@ def test_series_terminals_match_path_builders(name, skewed, threads, sym1, skew1
     ref = np.array([build(draw_shot_noise(substream(21, i), 2.0, sigma, 300.0, **options),
                           grid).terminal for i in range(12)])
     assert x.tobytes() == ref.tobytes()
+
+
+# measures and (cap, seed) pairs of the stream-identity test, fixed before
+# its first run
+_STREAM_MEASURES = {
+    "symmetric": SphericalMeasure.symmetric_pair(2.0),
+    "skewed": SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0]),
+    "uniform-d2": SphericalMeasure.uniform(2, 2.0),
+}
+
+
+def _stream_laws(sigma):
+    m = sigma.total_mass()
+    laws = {"stable": stable_law(1.5, sigma),
+            "layered": layered_law(LayeredQ.canonical(1.3, 1.9, m), sigma),
+            "blend": layered_law(blend_q(1.3, 1.9), sigma)}
+    if sigma.is_symmetric():
+        laws["rejection-inner"] = rejection_law(1.3, 1.9, sigma, "inner")
+        laws["rejection-outer"] = rejection_law(1.3, 1.9, sigma, "outer")
+        laws["mixed"] = mixed_law(MIX, sigma)
+    return laws
+
+
+@pytest.mark.parametrize("cap,seed", [(50.0, 2101), (2000.0, 2102)])
+@pytest.mark.parametrize("measure", list(_STREAM_MEASURES))
+def test_terminal_only_draw_keeps_the_stream(measure, cap, seed):
+    # mc.terminals draws no jump times: its draw advances the generator past
+    # them, so every later sequence is the full draw's, byte for byte, and
+    # its terminals are law.terminal of the full draws at any thread count
+    sigma = _STREAM_MEASURES[measure]
+    for name, law in _stream_laws(sigma).items():
+        ref = []
+        for i in range(6):
+            full = law.draw(substream(seed, i), 1.5, cap)
+            bare = law.draw(substream(seed, i), 1.5, cap, _times=False)
+            assert full.times is not None and bare.times is None
+            for attr in ("gammas", "directions", "rejects", "alphas"):
+                a, b = getattr(full, attr), getattr(bare, attr)
+                assert (a is None) == (b is None), (name, attr)
+                assert a is None or a.tobytes() == b.tobytes(), (name, attr)
+            ref.append(law.terminal(full))
+        for threads in (1, 2):
+            x = terminals(law, 6, seed, T=1.5, gamma_cap=cap, threads=threads)
+            assert x.tobytes() == np.array(ref).tobytes(), (name, threads)
 
 
 def test_stable_samplers_agree_in_law(sym1):

@@ -12,7 +12,8 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       layered_path_canonical, layered_path_general,
                       layered_path_rejection, make_grid, mixed_path,
                       layered_law, mixed_law, rejection_law,
-                      stable_drift_constant, stable_law, stable_path)
+                      stable_drift_constant, stable_law, stable_path,
+                      u_series)
 from layerlab import series
 from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, MAX_GRID_VALUES, _assemble,
                              _general_centering_sum, _grid_cells)
@@ -55,6 +56,34 @@ def test_draw_validation():
         with pytest.raises(ValueError):
             ShotNoiseDraw(T=1.0, gammas=np.array([1.0]),
                           times=np.array([bad_time]), directions=np.array([[1.0]]))
+
+
+def test_time_less_draw_refused_where_times_are_read(sym1):
+    # a terminal-only draw carries no jump times: every reader of them
+    # refuses it by name, while the terminal reads none
+    law = rejection_law(1.3, 1.9, sym1, "outer")
+    draw = law.draw(3, 1.0, 200.0, _times=False)
+    grid = make_grid(1.0, 4)
+    readers = {
+        "law.path": lambda: law.path(draw, grid),
+        "rejection path": lambda: layered_path_rejection(1.3, 1.9, sym1, draw, "outer", grid),
+        "stable path": lambda: stable_path(1.5, sym1, draw, grid),
+        "canonical path": lambda: layered_path_canonical(1.3, 1.9, sym1, draw, grid),
+        "_assemble": lambda: _assemble(grid, draw, np.ones(len(draw.gammas))),
+        "u_series": lambda: u_series(draw, 1.3, 1.9, 2.0, 1.0),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match="no jump times"):
+            read()
+    assert law.terminal(draw).shape == (1,)
+    # the arrival and length checks still hold without times
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ShotNoiseDraw(T=1.0, gammas=np.array([2.0, 1.0]), times=None,
+                      directions=np.array([[1.0], [1.0]]))
+    for directions, rejects in ((np.ones((1, 1)), None), (np.ones((2, 1)), np.ones(1))):
+        with pytest.raises(ValueError, match="length mismatch"):
+            ShotNoiseDraw(T=1.0, gammas=np.array([1.0, 2.0]), times=None,
+                          directions=directions, rejects=rejects)
 
 
 def test_stable_single_term_magnitude(sym1):
@@ -395,6 +424,7 @@ def _fail_if_reached(*args, **kwargs):
 def test_draw_budget_counts_dimension(monkeypatch):
     # the budget is on arrivals x dimension, computed before the rng exists
     monkeypatch.setattr(np.random, "default_rng", _fail_if_reached)
+    monkeypatch.setattr(np.random, "PCG64", _fail_if_reached)
     with pytest.raises(ValueError, match="budget"):
         draw_shot_noise(0, 1.0, SphericalMeasure.uniform(10 ** 8, 2.0), 10.0)
     with pytest.raises(ValueError, match="budget"):
