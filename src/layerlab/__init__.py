@@ -16,11 +16,10 @@ from .mc import (auto_r_cut, layered_terminals, layered_terminals_gaussian,
 from .qfunc import (LayeredQ, QuadratureError, blend_q, canonical_magnitudes,
                     levy_tail_mass, parse_q_spec)
 from .series import (MixDistribution, SamplePath, SeriesLaw, ShotNoiseDraw,
-                     canonical_centering_sum, draw_shot_noise, layered_law,
-                     layered_path_canonical, layered_path_general,
-                     layered_path_rejection, make_grid, mixed_law, mixed_path,
-                     rejection_law, stable_drift_constant, stable_law,
-                     stable_path)
+                     draw_shot_noise, layered_law, layered_path_canonical,
+                     layered_path_general, layered_path_rejection, make_grid,
+                     mixed_law, mixed_path, rejection_law,
+                     stable_drift_constant, stable_law, stable_path)
 from .spherical import SphericalMeasure, parse_spherical_spec
 from .stats import (GaussianCF, IsotropicStableCF, LayeredQuadratureCF,
                     StableCF, cf_distance, default_y_grid, ecf,

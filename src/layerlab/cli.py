@@ -2,7 +2,7 @@
 Radon-Nikodym diagnostics, estimate tail indices, and self-test.
 
 Exit codes: 0 success, 1 failed check, 2 configuration or numerical error
-(a quadrature that does not converge), 3 IO error.
+(a quadrature that does not converge, or a float overflow), 3 IO error.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def entrypoint(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
+    except (QuadratureError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -120,18 +120,14 @@ def nu_gap(q: LayeredQ, sigma: SphericalMeasure, eps: float) -> float:
     return levy_tail_mass(q, sigma, eps) - stable
 
 
-def _jump_vectors(jumps, t: float) -> np.ndarray:
-    # the vectors of a (time, vector) jump list with time <= t, as (n, d)
-    kept = [v for tm, v in jumps if tm <= t]
-    return np.array(kept, dtype=float).reshape(len(kept), -1) if kept else np.empty((0, 1))
-
-
 def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float):
-    """Evaluate the Radon-Nikodym Levy process U_t from a path's jump list: phi
-    (one array call) summed over the jumps up to t above EPS in list order,
-    less t nu_gap(EPS).  Returns (U_t, |U_t - U_t at 2 EPS|); the Cauchy
-    increment certifies convergence of the compensated sum."""
-    vecs = _jump_vectors(jumps, t)
+    """Evaluate the Radon-Nikodym Levy process U_t from a path's jumps, the
+    pair (times, vectors of shape (n, d)) of SamplePath.jumps: phi (one array
+    call) summed over the jumps up to t above EPS in their order, less
+    t nu_gap(EPS).  Returns (U_t, |U_t - U_t at 2 EPS|); the Cauchy increment
+    certifies convergence of the compensated sum."""
+    times, vecs = jumps
+    vecs = vecs[times <= t]
     mags = _norms(vecs)
     keep = mags > EPS
     phis = ratio.phi(vecs[keep])
@@ -142,8 +138,9 @@ def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float):
 
 def u_canonical(alpha: float, beta: float, sigma_mass: float, jumps,
                 t: float) -> float:
-    """Closed-form U_t for the canonical q: only jumps above 1 contribute."""
-    r = _norms(_jump_vectors(jumps, t))
+    """Closed-form U_t for the canonical q from a path's jumps: only jumps above 1 count."""
+    times, vecs = jumps
+    r = _norms(vecs[times <= t])
     total = sum(np.log(r[r > 1.0]).tolist(), 0.0)
     return (alpha - beta) * total - t * (1.0 / beta - 1.0 / alpha) * sigma_mass
 

@@ -277,6 +277,17 @@ class LayeredQ:
             out[i] = self._bisect_inverse(float(u[i]), xi)
         return out
 
+    def same_tail(self, xi, eta) -> bool:
+        """True when q reads the same at directions xi and eta: always for a
+        canonical q; a custom q compares its tables for xi and eta (cached,
+        as inverse_tail builds them) byte for byte.  The node radii of every
+        table are the same, and log_level follows from level."""
+        if self.is_canonical:
+            return True
+        a, b = self._table(xi), self._table(eta)
+        return (a.level.tobytes() == b.level.tobytes()
+                and a.cell_ok.tobytes() == b.cell_ok.tobytes())
+
     def _table(self, xi) -> _TailTable:
         key = None if xi is None else np.asarray(xi, dtype=float).tobytes()
         tab = self._tables.get(key)
@@ -349,9 +360,12 @@ class LayeredQ:
 
         Inverts the total jump-rate tail sigma(S^{d-1}) * Q; for the canonical
         variant with sigma_mass equal to the measure's mass this is exactly
-        inverse_tail(gamma/T).
+        inverse_tail(gamma/T), whose closed form it calls directly.
         """
-        return self.inverse_tail(gamma_over_t * self.tail_scale / sigma_total_mass, xi)
+        u = gamma_over_t * self.tail_scale / sigma_total_mass
+        if self.is_canonical:
+            return canonical_magnitudes(self.alpha, self.beta, u, self.sigma_mass, 1.0)
+        return self.inverse_tail(u, xi)
 
 
 def stable_magnitudes(alpha, gammas, sigma_mass: float, T: float):

@@ -56,10 +56,12 @@ class ShotNoiseDraw:
     """One realization of the shared random sequences on [0, T].
 
     gammas are the unit-rate Poisson arrivals kept below gamma_cap * T,
-    times are iid uniform on [0, T], directions are iid from the normalized
-    spherical measure.  rejects (uniform [0,1]) and alphas (mixing indices)
-    are populated on request.  times is None on a terminal-only draw (see
-    the module docstring); path builders and girsanov.u_series refuse it.
+    non-decreasing (a float cumulative sum ties where an increment is below
+    half an ulp), times are iid uniform on [0, T], directions are iid from
+    the normalized spherical measure.  rejects (uniform [0,1]) and alphas
+    (mixing indices) are populated on request.  times is None on a
+    terminal-only draw (see the module docstring); path builders and
+    girsanov.u_series refuse it.
     """
 
     T: float
@@ -72,8 +74,8 @@ class ShotNoiseDraw:
     def __post_init__(self):
         n = len(self.gammas)
         if n:
-            if self.gammas[0] <= 0.0 or np.any(np.diff(self.gammas) <= 0.0):
-                raise ValueError("gammas must be strictly increasing and positive")
+            if self.gammas[0] <= 0.0 or np.any(np.diff(self.gammas) < 0.0):
+                raise ValueError("gammas must be non-decreasing and positive")
         if len(self.directions) != n:
             raise ValueError("sequence length mismatch")
         if self.times is not None and not np.all(
@@ -121,10 +123,10 @@ class MixDistribution:
 
 @dataclass
 class SamplePath:
-    """A path on a grid over [0, T] with its retained jump list.
+    """A path on a grid over [0, T] with its retained jumps.
 
-    The jump list holds the kept jumps in arrival order (increasing Gamma_i),
-    not in time order.
+    The jumps are the kept ones in arrival order (increasing Gamma_i), not in
+    time order; jumps is the pair (jump_times, jump_vectors) of those arrays.
     """
 
     grid: np.ndarray
@@ -133,8 +135,8 @@ class SamplePath:
     jump_vectors: np.ndarray          # (n_jumps, d)
 
     @property
-    def jumps(self):
-        return list(zip(self.jump_times, self.jump_vectors))
+    def jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.jump_times, self.jump_vectors
 
     @property
     def terminal(self) -> np.ndarray:
@@ -293,32 +295,15 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
     return stable_magnitudes(alpha, 1.0, sigma_mass, T) * zeta(1.0 / alpha)
 
 
-def canonical_centering_sum(alpha: float, beta: float, sigma_mass: float,
-                            T: float, n: float) -> float:
-    """Closed-form sum of the small-jump centering integrals up to n.
-
-    Equals the integral over s in (0, n] of the series magnitude restricted
-    to magnitudes <= 1 (the alpha branch, s >= mass*T/beta); this is the
-    centering that makes the compensated series converge to the layered law
-    with zero shift parameter.
-    """
-    mT = sigma_mass * T
-    if n <= mT / beta:
-        return 0.0
-    w_n = alpha * n / mT + 1.0 - alpha / beta
-    if alpha == 1.0:
-        return mT * np.log(w_n)
-    e = 1.0 - 1.0 / alpha
-    return (mT / alpha) * (w_n ** e - 1.0) / e
-
-
-def _general_centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int,
-                           T: float) -> np.ndarray:
+def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float) -> np.ndarray:
     # sum over i <= n of b_i = int_{i-1}^i E[ q_inv(s/T, V) V 1(q_inv <= 1) ] ds,
-    # computed atom by atom.  Substituting s = T m Q(r, xi) turns the s-integral
-    # int_{s*}^n q_inv(s/T) ds, with s* = T m Q(1, xi), into
+    # the centering that makes the series converge to the layered law with
+    # zero shift, computed atom by atom.  Substituting s = T m Q(r, xi) turns
+    # the s-integral int_{s*}^n q_inv(s/T) ds, with s* = T m Q(1, xi), into
     # T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T), a radial moment
-    # (zero once r_n >= 1)
+    # (zero once r_n >= 1, and for a draw with no arrivals, n = 0)
+    if n == 0:
+        return np.zeros(sigma.dimension)
     m = sigma.total_mass()
     return T * sigma.integrate(
         lambda xi: q.radial_moment(1, q.series_magnitude(n / T, m, xi), 1.0, xi), 1)
@@ -377,8 +362,8 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"stable index must lie in (0,2), got {alpha}")
     m = sigma.total_mass()
-    z0 = sigma.mean_direction() if alpha >= 1.0 else None
-    centered = z0 is not None and np.any(z0 != 0.0)
+    centered = alpha >= 1.0 and not sigma.is_symmetric()
+    z0 = sigma.first_moment() / m if centered else None
 
     def jumps(draw):
         mags = stable_magnitudes(alpha, draw.gammas, m, draw.T)
@@ -392,23 +377,20 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
-    # canonical q: closed-form magnitudes and centering; custom q: tabled
-    # inverse tail and quadrature centering
+    # canonical q: closed-form magnitudes; custom q: tabled inverse tail.
+    # Both center by _centering_sum, skipped only where the sum is zero term
+    # by term: sigma is symmetric and q reads the same at each atom and at
+    # its antipode, as a canonical q, or any q on a uniform sigma (read at
+    # xi = None), always does
     m = sigma.total_mass()
-    z0 = sigma.mean_direction() if q.is_canonical else None
-    centered = np.any(np.abs(z0) > 1e-15) if q.is_canonical else not sigma.is_symmetric()
+    pairs = sigma.antipodes
+    centered = not sigma.is_symmetric() or (pairs is not None and not all(
+        q.same_tail(a, sigma.atoms[j]) for a, j in zip(sigma.atoms, pairs)))
 
     def jumps(draw):
-        n, T = draw.cutoff_index, draw.T
-        drift = None
-        if q.is_canonical:
-            mags = canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, T)
-            if centered:
-                drift = -canonical_centering_sum(q.alpha, q.beta, m, T, float(n)) * z0 / T
-        else:
-            mags = _custom_magnitudes(q, sigma, draw)
-            if centered:
-                drift = -_general_centering_sum(q, sigma, n, T) / T
+        mags = (canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)
+                if q.is_canonical else _custom_magnitudes(q, sigma, draw))
+        drift = -_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T if centered else None
         return mags, drift, None
 
     # a direction-dependent q discards different jumps on each atom

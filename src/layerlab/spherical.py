@@ -9,12 +9,13 @@ and project the pairs behind the CF oracles' int f(<y, xi>) sigma(dxi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
 
 _NORM_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12     # weight gap is_symmetric allows an atom and its antipode
 
 # Largest dimension for which a d x d matrix is built (second moments,
 # covariances and their Cholesky factors).  At 4096 one matrix is 128 MB and
@@ -164,21 +165,25 @@ class SphericalMeasure:
             raise ValueError(f"dimension {self.dimension} exceeds the budget of "
                              f"{MAX_MATRIX_DIMENSION} for a d x d matrix")
 
-    def mean_direction(self) -> np.ndarray:
-        """first_moment / total_mass; the z0 of the stable series centering."""
-        return self.first_moment() / self.total_mass()
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when the measure is invariant under xi -> -xi."""
+        return self.is_uniform or self.antipodes is not None
+
+    @cached_property
+    def antipodes(self) -> tuple[int, ...] | None:
+        """The index of each atom's antipode, found once per measure; None
+        when some atom has no antipode of equal weight, or on a uniform
+        measure, which has no atoms."""
         if self.is_uniform:
-            return True
-        # match every atom to its antipode with equal weight
+            return None
+        out = []
         for a, w in zip(self.atoms, self.weights):
             dots = self.atoms @ (-a)
             j = int(np.argmax(dots))
-            if dots[j] < 1.0 - 1e-10 or abs(self.weights[j] - w) > tol:
-                return False
-        return True
+            if dots[j] < 1.0 - 1e-10 or abs(self.weights[j] - w) > _SYMMETRY_TOL:
+                return None
+            out.append(j)
+        return tuple(out)
 
     # -- sampling -----------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Acceptance battery: fifteen end-to-end checks, one test per criterion.
 
-Each test prints a single PASS/FAIL line directly to the terminal (bypassing
-pytest capture) and then asserts, so running this module doubles as a
+Each test prints a single PASS/FAIL line to file descriptor 1 and then
+asserts.  pytest captures that descriptor; the hook in conftest.py repeats
+the lines in an "acceptance statistics" section at the end of the run (and
+pytest -s shows them as they come), so running this module doubles as a
 readable checklist.  Tolerances and sample sizes are pinned; every check is
 fully seeded and deterministic.
 """

@@ -481,6 +481,15 @@ def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "numerical error: centering quadrature did not converge\n"
+    monkeypatch.undo()
+    # the manifest's truncation bound overflows scalar ** at a tiny index
+    for process in (("stable", "--alpha", "1e-300"),
+                    ("layered", "--alpha", "1.3", "--beta", "1e-300")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("simulate", "--process", *process, "--gamma-cap", "10",
+                       "--out", str(tmp_path / process[0]))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("numerical error: ")
 
 
 @pytest.mark.parametrize("argv", [

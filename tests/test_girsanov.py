@@ -136,8 +136,8 @@ def test_u_from_jumps_matches_closed_form(ratio, sym1):
 
 def _u_reference(ratio, sigma, jumps, t, eps):
     # the jump sum U_t is defined by: phi of each jump up to t above eps, in
-    # list order, less t times the Levy-measure gap above eps
-    return (sum(ratio.phi(v) for tm, v in jumps if tm <= t and np.linalg.norm(v) > eps)
+    # arrival order, less t times the Levy-measure gap above eps
+    return (sum(ratio.phi(v) for tm, v in zip(*jumps) if tm <= t and np.linalg.norm(v) > eps)
             - t * nu_gap(ratio.q, sigma, eps))
 
 
@@ -158,7 +158,8 @@ def test_u_from_jumps_matches_per_jump_sum(case, sym1):
             assert cauchy == abs(ref - _u_reference(ratio, sigma, path.jumps, t, 2 * EPS))
 
 
-@pytest.mark.parametrize("jumps", [[], [(0.8, np.array([3.0])), (0.9, np.array([-0.2]))]],
+@pytest.mark.parametrize("jumps", [(np.empty(0), np.empty((0, 1))),
+                                   (np.array([0.8, 0.9]), np.array([[3.0], [-0.2]]))],
                          ids=["empty", "all-after-t"])
 def test_u_from_jumps_without_a_jump_up_to_t(jumps, ratio, sym1):
     # only the compensator is left; below 1 the canonical gap does not depend

@@ -111,7 +111,7 @@ def test_stable_inverse_is_one_copy(alpha, beta, T):
             comp = np.sum(stable_magnitudes(alpha, arrivals, m, T))
             assert stable_drift_constant(alpha, m, T) == (
                 stable_magnitudes(alpha, 1.0, m, T) * zeta(1.0 / alpha))
-            z0 = law.sigma.mean_direction()
+            z0 = law.sigma.first_moment() / m
             want = (stable_drift_constant(alpha, m, T) - comp) * z0 / T
             assert drift.tobytes() == want.tobytes()
     mT = 2.0 * T

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
-                      SphericalMeasure, canonical_centering_sum,
-                      canonical_magnitudes, draw_shot_noise,
+                      SphericalMeasure, canonical_magnitudes, draw_shot_noise,
                       layered_path_canonical, layered_path_general,
                       layered_path_rejection, make_grid, mixed_path,
                       layered_law, mixed_law, rejection_law,
@@ -16,7 +15,7 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       u_series)
 from layerlab import series
 from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, MAX_GRID_VALUES, _assemble,
-                             _general_centering_sum, _grid_cells)
+                             _centering_sum, _grid_cells)
 
 
 def _single_term_draw(gamma=1.0, T=1.0, time=0.4, direction=(1.0,)):
@@ -47,11 +46,20 @@ def test_draw_respects_cap(sym1):
     assert abs(len(d.gammas) - 600) < 6 * np.sqrt(600)
 
 
-def test_draw_validation():
-    with pytest.raises(ValueError):
-        ShotNoiseDraw(T=1.0, gammas=np.array([2.0, 1.0]),
-                      times=np.array([0.1, 0.2]),
-                      directions=np.array([[1.0], [1.0]]))
+def test_draw_validation(sym1):
+    for bad_gammas in ([2.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="non-decreasing and positive"):
+            ShotNoiseDraw(T=1.0, gammas=np.array(bad_gammas),
+                          times=np.array([0.1, 0.2]),
+                          directions=np.array([[1.0], [1.0]]))
+    # a float cumulative sum repeats a value where an increment is below half
+    # an ulp: tied arrivals are accepted, and both jumps are summed
+    tied = ShotNoiseDraw(T=1.0, gammas=np.array([1.0, 2.0, 2.0, 3.0]),
+                         times=np.array([0.1, 0.2, 0.3, 0.4]),
+                         directions=np.array([[1.0], [-1.0], [1.0], [1.0]]))
+    law = stable_law(0.5, sym1)
+    mags = (0.5 * tied.gammas / 2.0) ** -2.0
+    np.testing.assert_array_equal(law.terminal(tied), [np.cumsum(mags * [1, -1, 1, 1])[-1]])
     for bad_time in (1.5, np.nan):
         with pytest.raises(ValueError):
             ShotNoiseDraw(T=1.0, gammas=np.array([1.0]),
@@ -77,7 +85,7 @@ def test_time_less_draw_refused_where_times_are_read(sym1):
             read()
     assert law.terminal(draw).shape == (1,)
     # the arrival and length checks still hold without times
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="non-decreasing"):
         ShotNoiseDraw(T=1.0, gammas=np.array([2.0, 1.0]), times=None,
                       directions=np.array([[1.0], [1.0]]))
     for directions, rejects in ((np.ones((1, 1)), None), (np.ones((2, 1)), np.ones(1))):
@@ -156,22 +164,43 @@ def test_canonical_magnitudes_match_inverse_tail():
     np.testing.assert_allclose(mags, ref, rtol=1e-13)
 
 
-def test_centering_sum_closed_form():
-    # closed form vs direct quadrature of the small-jump branch
+def _closed_centering(alpha, beta, mT, n):
+    # int_{mT/beta}^n (alpha s/mT + 1 - alpha/beta)^(-1/alpha) ds, the
+    # canonical series' small-jump magnitudes summed in closed form
+    if n <= mT / beta:
+        return 0.0
+    w_n = alpha * n / mT + 1.0 - alpha / beta
+    if alpha == 1.0:
+        return mT * np.log(w_n)
+    e = 1.0 - 1.0 / alpha
+    return (mT / alpha) * (w_n ** e - 1.0) / e
+
+
+def test_centering_sum_closed_form(skew1):
+    # the centering of a canonical q reads closed-form radial moments: it
+    # equals the closed-form s-integral times z0, which in turn matches a
+    # direct quadrature of the small-jump branch
     from scipy import integrate
 
-    for alpha in (0.7, 1.0, 1.3):
-        m, T, n, beta = 3.0, 1.0, 25.0, 1.9
-        mT = m * T
-
-        def mag(s):
-            return (alpha * s / mT + 1.0 - alpha / beta) ** (-1.0 / alpha)
-
-        ref, _ = integrate.quad(mag, mT / beta, n)
-        got = canonical_centering_sum(alpha, beta, m, T, n)
-        assert abs(got - ref) < 1e-9 * abs(ref)
-    # no small jumps before the branch point
-    assert canonical_centering_sum(1.3, 1.9, 3.0, 1.0, 1.0) == 0.0
+    atoms3 = _TERMINAL_MEASURES["three-atom-d2"]
+    for alpha, beta in ((0.7, 1.9), (1.0, 1.9), (1.3, 1.9), (1.1, 2.5), (1.5, 0.8)):
+        for sigma in (skew1, atoms3):
+            m = sigma.total_mass()
+            q = LayeredQ.canonical(alpha, beta, m)
+            for T in (0.7, 1.0, 1.5):
+                for n in (1, 2, 25, 1000, 30001):
+                    ref = _closed_centering(alpha, beta, m * T, float(n)) * sigma.first_moment() / m
+                    np.testing.assert_allclose(_centering_sum(q, sigma, n, T), ref,
+                                               rtol=1e-13, atol=1e-13)
+        mT, n = 3.0, 25.0
+        ref, _ = integrate.quad(
+            lambda s: (alpha * s / mT + 1.0 - alpha / beta) ** (-1.0 / alpha),
+            min(mT / beta, n), n)
+        assert abs(_closed_centering(alpha, beta, mT, n) - ref) < 1e-9 * abs(ref)
+    # no small jumps before the branch point, and none without arrivals
+    q = LayeredQ.canonical(1.3, 1.9, 3.0)
+    assert np.all(_centering_sum(q, skew1, 1, 1.0) == 0.0)
+    assert np.all(_centering_sum(q, skew1, 0, 1.0) == 0.0)
 
 
 def test_general_matches_canonical_on_shared_draw(sym1):
@@ -192,14 +221,15 @@ def test_general_custom_runs(sym1):
 
 
 def test_general_asymmetric_centering(skew1):
-    # the radial-moment centering used for custom q, run on a canonical q,
-    # against the closed form the path builders use for canonical q
+    # the centering of a canonical q (closed-form radial moments) against the
+    # same q written as a custom one (tabled inverse, quadrature moments)
     q = LayeredQ.canonical(1.3, 1.9, 3.0)
+    q_custom = LayeredQ.custom(1.3, 1.9, lambda r, xi: r ** -2.3 if r <= 1.0 else r ** -2.9,
+                               lambda xi: 1.0, lambda xi: 1.0)
     draw = draw_shot_noise(11, 1.0, skew1, 500.0)
     n = draw.cutoff_index
-    quad = _general_centering_sum(q, skew1, n, 1.0)
-    closed = canonical_centering_sum(1.3, 1.9, 3.0, 1.0, float(n)) * skew1.mean_direction()
-    np.testing.assert_allclose(quad, closed, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(_centering_sum(q_custom, skew1, n, 1.0),
+                               _centering_sum(q, skew1, n, 1.0), rtol=1e-8, atol=0)
 
 
 def test_general_centering_substitution_matches_s_integral(skew1):
@@ -220,7 +250,7 @@ def test_general_centering_substitution_matches_s_integral(skew1):
                                     s_star, float(n), epsabs=1e-8, epsrel=1e-10,
                                     limit=400)
             ref += (w / m) * val * atom
-        got = _general_centering_sum(q, skew1, n, T)
+        got = _centering_sum(q, skew1, n, T)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
 
 
@@ -231,11 +261,50 @@ def test_general_centering_nonconvergence_raises(skew1, monkeypatch):
     from layerlab import QuadratureError, blend_q
 
     q = blend_q(1.3, 1.9)
-    _general_centering_sum(q, skew1, 100, 1.0)
+    _centering_sum(q, skew1, 100, 1.0)
     monkeypatch.setattr(qfunc.integrate, "quad", lambda *a, **k: (1.0, 1.0))
     with pytest.raises(QuadratureError, match="radial moment of order 1"):
-        _general_centering_sum(q, skew1, 100, 1.0)
+        _centering_sum(q, skew1, 100, 1.0)
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_draw_without_arrivals_is_centered_by_zero(skew1):
+    # on an asymmetric measure every layered law centers; with no arrivals
+    # the centering sum is empty, canonical q or custom
+    from layerlab import blend_q
+    for q in (LayeredQ.canonical(1.3, 1.9, 3.0), blend_q(1.3, 1.9)):
+        law = layered_law(q, skew1)
+        draw = law.draw(2201, 1.0, 1e-3)
+        assert draw.cutoff_index == 0
+        x = law.terminal(draw)
+        assert np.all(np.isfinite(x)) and np.all(x == 0.0)
+        assert x.tobytes() == law.path(draw, np.array([0.0, 1.0])).values[-1].tobytes()
+
+
+def _q_dir():
+    # c(xi) = 1 + xi_1 / 2 weighs xi and -xi differently
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    return LayeredQ.custom(1.5, 0.8, lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                           c_dir, lambda xi: 1.0)
+
+
+def test_centering_decided_by_measure_and_q(sym1):
+    # a symmetric measure skips the centering only where q reads the same at
+    # each atom and at its antipode: a direction-free q does, q_dir does not
+    from layerlab import blend_q
+    q_dir = _q_dir()
+    law = layered_law(q_dir, sym1)
+    draw = law.draw(2202, 1.0, 200.0)
+    _, drift, _ = law.jumps(draw)
+    assert np.all(drift != 0.0)
+    np.testing.assert_array_equal(drift, -_centering_sum(q_dir, sym1, draw.cutoff_index, 1.0))
+    assert not q_dir.same_tail(sym1.atoms[0], sym1.atoms[1])
+    for q in (blend_q(1.3, 1.9), LayeredQ.canonical(1.3, 1.9, 2.0)):
+        assert layered_law(q, sym1).jumps(draw)[1] is None
+        assert q.same_tail(sym1.atoms[0], sym1.atoms[1])
+    # a uniform measure reads q at xi = None, so nothing is centered there
+    u2 = SphericalMeasure.uniform(2, 2.0)
+    assert layered_law(q_dir, u2).jumps(draw_shot_noise(2203, 1.0, u2, 20.0))[1] is None
 
 
 def test_custom_tables_bounded_by_atoms(skew1):
@@ -393,10 +462,7 @@ def test_truncation_bound_of_a_direction_dependent_q():
     # largest discarded jumps sit on (1, 0), above those of q at xi = None
     atoms3 = SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
                                        [1.0, 0.6, 0.4])
-    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
-    q_dir = LayeredQ.custom(1.5, 0.8,
-                            lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
-                            c_dir, lambda xi: 1.0)
+    q_dir = _q_dir()
     m = atoms3.total_mass()
     bound = layered_law(q_dir, atoms3).truncation_bound(200.0)
     assert bound == q_dir.series_magnitude(200.0, m, atoms3.atoms[0])

@@ -30,6 +30,11 @@ def test_second_moment_2d():
     s = SphericalMeasure.discrete(atoms, np.array([1.0, 4.0, 1.0, 4.0]))
     np.testing.assert_allclose(s.second_moment(), np.diag([2.0, 8.0]))
     assert s.is_symmetric()
+    assert s.antipodes == (2, 3, 0, 1)
+    # an antipode of unequal weight, or none at all, is not symmetric
+    for weights, kept in (([1.0, 4.0, 1.0, 4.5], atoms), ([1.0, 4.0, 1.0], atoms[:3])):
+        lopsided = SphericalMeasure.discrete(kept, np.array(weights))
+        assert lopsided.antipodes is None and not lopsided.is_symmetric()
 
 
 def test_uniform_measure():
