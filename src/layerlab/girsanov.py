@@ -121,11 +121,10 @@ def nu_gap(q: LayeredQ, sigma: SphericalMeasure, eps: float) -> float:
 
 
 def u_from_jumps(ratio: DensityRatio, sigma: SphericalMeasure, jumps, t: float):
-    """Evaluate the Radon-Nikodym Levy process U_t from a path's jumps, the
-    pair (times, vectors of shape (n, d)) of SamplePath.jumps: phi (one array
-    call) summed over the jumps up to t above EPS in their order, less
-    t nu_gap(EPS).  Returns (U_t, |U_t - U_t at 2 EPS|); the Cauchy increment
-    certifies convergence of the compensated sum."""
+    """Evaluate the Radon-Nikodym Levy process U_t from SamplePath.jumps, the
+    pair (times, (n, d) vectors): phi (one array call) summed over the jumps
+    up to t above EPS in their order, less t nu_gap(EPS).  Returns (U_t,
+    |U_t - U_t at 2 EPS|); the Cauchy increment certifies the sum converged."""
     times, vecs = jumps
     vecs = vecs[times <= t]
     mags = _norms(vecs)

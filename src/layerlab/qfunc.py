@@ -232,10 +232,7 @@ class LayeredQ:
         polish to |Q - u| <= 1e-13 u; levels outside the table and entries
         the polish does not settle use the Brent search over tail_integral.
         """
-        if np.ndim(u):
-            u = np.asarray(u, dtype=float)
-        if not np.all(u > 0.0):                 # NaN fails too
-            raise ValueError("inverse tail needs u > 0" + ("" if np.ndim(u) else f", got {u}"))
+        u = _positive_levels(u)
         if self.is_canonical:
             return canonical_magnitudes(self.alpha, self.beta, u, self.sigma_mass, 1.0)
         out = self._table_inverse(np.atleast_1d(np.asarray(u, dtype=float)), xi)
@@ -279,9 +276,8 @@ class LayeredQ:
 
     def same_tail(self, xi, eta) -> bool:
         """True when q reads the same at directions xi and eta: always for a
-        canonical q; a custom q compares its tables for xi and eta (cached,
-        as inverse_tail builds them) byte for byte.  The node radii of every
-        table are the same, and log_level follows from level."""
+        canonical q, and for a custom q when its cached tables for the two
+        agree byte for byte (node radii are shared, log_level follows level)."""
         if self.is_canonical:
             return True
         a, b = self._table(xi), self._table(eta)
@@ -358,14 +354,24 @@ class LayeredQ:
     def series_magnitude(self, gamma_over_t, sigma_total_mass: float, xi=None):
         """Jump magnitudes of Poisson arrivals at levels gamma/T (as inverse_tail's u).
 
-        Inverts the total jump-rate tail sigma(S^{d-1}) * Q; for the canonical
-        variant with sigma_mass equal to the measure's mass this is exactly
-        inverse_tail(gamma/T), whose closed form it calls directly.
+        Inverts the total jump-rate tail sigma(S^{d-1}) * Q as inverse_tail
+        does; a canonical q calls the closed form itself, so that the series
+        never enters inverse_tail, whose calls count table inversions.
         """
         u = gamma_over_t * self.tail_scale / sigma_total_mass
-        if self.is_canonical:
-            return canonical_magnitudes(self.alpha, self.beta, u, self.sigma_mass, 1.0)
-        return self.inverse_tail(u, xi)
+        if not self.is_canonical:
+            return self.inverse_tail(u, xi)
+        return canonical_magnitudes(self.alpha, self.beta, _positive_levels(u),
+                                    self.sigma_mass, 1.0)
+
+
+def _positive_levels(u):
+    """u, a float array unless a scalar; refused unless every level is > 0."""
+    if np.ndim(u):
+        u = np.asarray(u, dtype=float)
+    if not np.all(u > 0.0):                 # NaN fails too
+        raise ValueError("inverse tail needs u > 0" + ("" if np.ndim(u) else f", got {u}"))
+    return u
 
 
 def stable_magnitudes(alpha, gammas, sigma_mass: float, T: float):

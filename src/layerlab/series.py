@@ -55,13 +55,12 @@ MAX_GRID_VALUES = 1e7
 class ShotNoiseDraw:
     """One realization of the shared random sequences on [0, T].
 
-    gammas are the unit-rate Poisson arrivals kept below gamma_cap * T,
-    non-decreasing (a float cumulative sum ties where an increment is below
-    half an ulp), times are iid uniform on [0, T], directions are iid from
-    the normalized spherical measure.  rejects (uniform [0,1]) and alphas
-    (mixing indices) are populated on request.  times is None on a
-    terminal-only draw (see the module docstring); path builders and
-    girsanov.u_series refuse it.
+    gammas are the unit-rate Poisson arrivals kept below gamma_cap * T (they
+    may tie, where an increment is below half an ulp), times are iid uniform
+    on [0, T], directions are iid from the normalized spherical measure.
+    rejects (uniform [0,1]) and alphas (mixing indices) are populated on
+    request.  times is None on a terminal-only draw (see the module
+    docstring); path builders and girsanov.u_series refuse it.
     """
 
     T: float
@@ -123,10 +122,8 @@ class MixDistribution:
 
 @dataclass
 class SamplePath:
-    """A path on a grid over [0, T] with its retained jumps.
-
-    The jumps are the kept ones in arrival order (increasing Gamma_i), not in
-    time order; jumps is the pair (jump_times, jump_vectors) of those arrays.
+    """A path on a grid over [0, T] with its kept jumps in arrival order
+    (increasing Gamma_i), not in time order: jumps is (jump_times, jump_vectors).
     """
 
     grid: np.ndarray
@@ -183,7 +180,7 @@ def draw_shot_noise(seed, T: float, sigma: SphericalMeasure, gamma_cap: float,
         remaining = cap - total
     gammas = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     gammas = np.cumsum(gammas, out=gammas)
-    gammas = gammas[:np.searchsorted(gammas, cap, side="right")]    # increasing
+    gammas = gammas[:np.searchsorted(gammas, cap, side="right")]    # non-decreasing
     n = len(gammas)
     times = rng.uniform(0.0, T, n) if _times else None
     if not _times:      # uniform takes one PCG64 output a value: the same state
@@ -297,11 +294,10 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
 
 def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float) -> np.ndarray:
     # sum over i <= n of b_i = int_{i-1}^i E[ q_inv(s/T, V) V 1(q_inv <= 1) ] ds,
-    # the centering that makes the series converge to the layered law with
-    # zero shift, computed atom by atom.  Substituting s = T m Q(r, xi) turns
-    # the s-integral int_{s*}^n q_inv(s/T) ds, with s* = T m Q(1, xi), into
-    # T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T), a radial moment
-    # (zero once r_n >= 1, and for a draw with no arrivals, n = 0)
+    # the centering of the layered law with zero shift, atom by atom: s = T m
+    # Q(r, xi) turns int_{s*}^n q_inv(s/T) ds, s* = T m Q(1, xi), into the
+    # radial moment T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T) (zero
+    # once r_n >= 1, and for a draw with no arrivals, n = 0)
     if n == 0:
         return np.zeros(sigma.dimension)
     m = sigma.total_mass()
@@ -377,11 +373,9 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
-    # canonical q: closed-form magnitudes; custom q: tabled inverse tail.
-    # Both center by _centering_sum, skipped only where the sum is zero term
-    # by term: sigma is symmetric and q reads the same at each atom and at
-    # its antipode, as a canonical q, or any q on a uniform sigma (read at
-    # xi = None), always does
+    # canonical q: closed-form magnitudes; custom q: tabled inverse tail.  Both
+    # center unless sigma is symmetric and q the same at each atom and its
+    # antipode, as for a canonical q, or any q on a uniform sigma (xi = None)
     m = sigma.total_mass()
     pairs = sigma.antipodes
     centered = not sigma.is_symmetric() or (pairs is not None and not all(

@@ -15,7 +15,8 @@ import numpy as np
 from scipy import special
 
 _NORM_TOL = 1e-12
-_SYMMETRY_TOL = 1e-12     # weight gap is_symmetric allows an atom and its antipode
+_SYMMETRY_TOL = 1e-12     # mass gap is_symmetric allows a direction and its antipode
+_SAME_DIRECTION = 1.0 - 1e-10   # least inner product of two atoms of one direction
 
 # Largest dimension for which a d x d matrix is built (second moments,
 # covariances and their Cholesky factors).  At 4096 one matrix is 128 MB and
@@ -171,16 +172,18 @@ class SphericalMeasure:
 
     @cached_property
     def antipodes(self) -> tuple[int, ...] | None:
-        """The index of each atom's antipode, found once per measure; None
-        when some atom has no antipode of equal weight, or on a uniform
-        measure, which has no atoms."""
+        """An atom in each atom's antipodal direction, found once per measure;
+        None on a uniform measure, or when some direction (its atoms' weights
+        pooled) has no antipode of the same mass."""
         if self.is_uniform:
             return None
         out = []
-        for a, w in zip(self.atoms, self.weights):
+        for a in self.atoms:
             dots = self.atoms @ (-a)
             j = int(np.argmax(dots))
-            if dots[j] < 1.0 - 1e-10 or abs(self.weights[j] - w) > _SYMMETRY_TOL:
+            here = np.sum(self.weights[dots <= -_SAME_DIRECTION])    # a among them
+            there = np.sum(self.weights[dots >= _SAME_DIRECTION])
+            if dots[j] < _SAME_DIRECTION or abs(here - there) > _SYMMETRY_TOL:
                 return None
             out.append(j)
         return tuple(out)

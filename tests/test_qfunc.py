@@ -136,6 +136,12 @@ def test_inverse_tail_refuses_bad_levels(q):
             q.inverse_tail(u)
         with pytest.raises(ValueError, match="u > 0"):
             q.inverse_tail(np.array([1.0, u]))
+        # series_magnitude checks its levels too, the canonical closed form
+        # included
+        with pytest.raises(ValueError, match="u > 0"):
+            q.series_magnitude(u, 2.0)
+        with pytest.raises(ValueError, match="u > 0"):
+            q.series_magnitude(np.array([1.0, u]), 2.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -307,6 +307,37 @@ def test_centering_decided_by_measure_and_q(sym1):
     assert layered_law(q_dir, u2).jumps(draw_shot_noise(2203, 1.0, u2, 20.0))[1] is None
 
 
+def test_direction_dependent_q_matches_the_quadrature_law(sym1):
+    # q_dir on the symmetric pair, centered, against the quadrature CF, which
+    # compensates over [0, 1] for every q; without the centering the shift
+    # at cap 1e3 is about 11.  The law is wide (|CF| is 0.06 at y = 0.5), so
+    # it is read on [-0.5, 0.5], where a shift of 11 moves the ECF by up to
+    # 0.6; on the default [-5, 5] the uncentered terminals read 0.033
+    from layerlab.mc import terminals
+    from layerlab.stats import LayeredQuadratureCF, cf_distance, default_y_grid
+    q_dir, n = _q_dir(), 2000
+    x = terminals(layered_law(q_dir, sym1), n, seed=2211, gamma_cap=1e3)
+    assert cf_distance(x, LayeredQuadratureCF(q_dir, sym1),
+                       default_y_grid(1, half_width=0.5)) < 5.0 / np.sqrt(n)
+
+
+def test_repeated_directions_pool_their_weights(sym1):
+    # atoms +1, +1, -1 of weight 1 each are the skewed measure 2 at +1, 1 at
+    # -1: both laws center there as on that measure; with weight 2 at -1 the
+    # measure is symmetric and neither centers
+    repeated = SphericalMeasure.discrete([[1.0], [2.0], [-1.0]], [1.0, 1.0, 1.0])
+    merged = SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0])
+    draw = draw_shot_noise(2212, 1.0, repeated, 200.0)
+    for build in (lambda s: stable_law(1.5, s),
+                  lambda s: layered_law(LayeredQ.canonical(1.3, 1.9, 3.0), s)):
+        drift = build(repeated).jumps(draw)[1]
+        assert drift is not None and np.all(drift != 0.0)
+        np.testing.assert_allclose(drift, build(merged).jumps(draw)[1], rtol=1e-14)
+    balanced = SphericalMeasure.discrete([[1.0], [2.0], [-1.0]], [1.0, 1.0, 2.0])
+    assert layered_law(LayeredQ.canonical(1.3, 1.9, 4.0), balanced).jumps(draw)[1] is None
+    assert stable_law(1.5, balanced).jumps(draw)[1] is None
+
+
 def test_custom_tables_bounded_by_atoms(skew1):
     # one table per atom of a discrete measure, which the bound reads too
     from layerlab import blend_q

@@ -35,6 +35,11 @@ def test_second_moment_2d():
     for weights, kept in (([1.0, 4.0, 1.0, 4.5], atoms), ([1.0, 4.0, 1.0], atoms[:3])):
         lopsided = SphericalMeasure.discrete(kept, np.array(weights))
         assert lopsided.antipodes is None and not lopsided.is_symmetric()
+    # atoms that repeat a direction pool their weights
+    repeated = [[1.0], [2.0], [-1.0]]
+    assert not SphericalMeasure.discrete(repeated, [1.0, 1.0, 1.0]).is_symmetric()
+    balanced = SphericalMeasure.discrete(repeated, [1.0, 1.0, 2.0])
+    assert balanced.is_symmetric() and balanced.antipodes == (2, 2, 0)
 
 
 def test_uniform_measure():
