@@ -83,50 +83,70 @@ def _parse_mix(text: str) -> series.MixDistribution:
     return series.MixDistribution(np.array(atoms), np.array(probs))
 
 
-# each process: the settings it cannot run without, and its law from the
-# settings and the spectral measure
+# each process: the settings it cannot run without, the setting that gives
+# its nominal tail index in `tail` (None: `tail` does not run it), and its
+# law from the settings and the spectral measure
 _LAWS = {
-    "stable": (("alpha",),
+    "stable": (("alpha",), "alpha",
                lambda cfg, sigma: series.stable_law(float(cfg["alpha"]), sigma)),
-    "layered": (("alpha", "beta"), lambda cfg, sigma: series.layered_law(
+    "layered": (("alpha", "beta"), "beta", lambda cfg, sigma: series.layered_law(
         LayeredQ.canonical(float(cfg["alpha"]), float(cfg["beta"]), sigma.total_mass()),
         sigma)),
-    "layered-rejection": (("alpha", "beta"), lambda cfg, sigma: series.rejection_law(
+    "layered-rejection": (("alpha", "beta"), None, lambda cfg, sigma: series.rejection_law(
         float(cfg["alpha"]), float(cfg["beta"]), sigma, cfg.get("base", "inner"))),
-    "mixed": (("mix",),
+    "mixed": (("mix",), None,
               lambda cfg, sigma: series.mixed_law(_parse_mix(cfg["mix"]), sigma)),
 }
 PROCESSES = tuple(_LAWS)
 
-# the setting that gives each `tail` process its nominal tail index
-_TAIL_INDEX = {"stable": "alpha", "layered": "beta"}
+# every setting: the add_argument options of its flag, and its default as a
+# config file gives it.  None reads as unset (null in a manifest); a setting
+# with no default is left out of the command's settings until given
+_SETTINGS = {
+    "process": ({}, "layered"),             # its choices: the command's processes
+    "alpha": ({"type": float}, None),
+    "beta": ({"type": float}, None),
+    "sigma": ({}, "discrete:[(1):1,(-1):1]"),
+    "T": ({"type": float}, "1.0"),
+    "grid_n": ({"type": int}, "200"),
+    "paths": ({"type": int}, "1"),
+    "seed": ({"type": int}, "0"),
+    "gamma_cap": ({"type": float}, "1e4"),
+    "format": ({"choices": ("csv", "json")}, "csv"),
+    "base": ({"choices": ("inner", "outer")},),
+    "mix": ({"help": "alpha:prob pairs for the mixed process"},),
+    "coupled": ({"help": "companion processes on the same draw"},),
+}
+_DEFAULTS = {k: row[1] for k, row in _SETTINGS.items() if len(row) > 1}
 
-_DEFAULTS = {
-    "process": "layered",
-    "alpha": None,
-    "beta": None,
-    "sigma": "discrete:[(1):1,(-1):1]",
-    "T": "1.0",
-    "grid_n": "200",
-    "paths": "1",
-    "seed": "0",
-    "gamma_cap": "1e4",
-    "format": "csv",
+# each command: its flags after --config in usage order, each but out a
+# setting it reads; the settings it takes no default for; and the processes
+# it runs.  T and grid_n go with a grid over [0, T], gamma_cap with the
+# truncated series (limit-check runs the compensated sampler)
+_COMMANDS = {
+    "simulate": (("alpha", "beta", "sigma", "T", "grid_n", "paths", "seed", "gamma_cap", "out",
+                  "process", "format", "base", "mix", "coupled"), (), PROCESSES),
+    "limit-check": (("alpha", "beta", "sigma", "paths", "seed", "out"), ("alpha", "beta"), ()),
+    "rn": (("alpha", "beta", "sigma", "T", "grid_n", "paths", "seed", "gamma_cap", "out"),
+           ("alpha", "beta", "paths"), ()),
+    "tail": (("alpha", "beta", "sigma", "paths", "seed", "gamma_cap", "out", "process"),
+             ("paths",), tuple(p for p, (_, index, _) in _LAWS.items() if index)),
 }
 
 
-def _merge_config(args, keys, required=()) -> dict:
+def _merge_config(args) -> dict:
     """The command's settings: defaults, then the config file, then flags.
 
-    keys are the settings the command reads from the result; a config file
-    may set those and no others.  required are the keys among them that the
-    command takes no default for.
+    A config file may set the settings the command reads and no others; a
+    setting the command requires takes no default.
     """
-    cfg = {k: v for k, v in _DEFAULTS.items() if k in keys and k not in required}
-    if getattr(args, "config", None):
+    flags, required, _ = _COMMANDS[args.command]
+    keys = [k for k in flags if k != "out"]
+    cfg = {k: _DEFAULTS[k] for k in keys if k in _DEFAULTS and k not in required}
+    if args.config:
         cfg.update(read_config_file(args.config))
     for key in keys:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = str(val)
     unknown = set(cfg) - set(keys)
@@ -141,6 +161,18 @@ def _require(cfg, keys, what) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
         raise ConfigError(f"{what} requires {' and '.join(missing)}")
+
+
+def _process_law(command, cfg, sigma):
+    """The law of the configured process, one the command runs, and the
+    setting that gives its nominal tail index."""
+    process = cfg["process"]
+    processes = _COMMANDS[command][2]
+    if process not in processes:
+        raise ConfigError(f"process must be one of {processes}")
+    required, tail_index, law = _LAWS[process]
+    _require(cfg, required, f"the {process} process")
+    return law(cfg, sigma), tail_index
 
 
 def _parse_coupled(text, sigma):
@@ -158,13 +190,7 @@ def _parse_coupled(text, sigma):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "T",
-                               "grid_n", "paths", "seed", "gamma_cap",
-                               "format", "base", "mix", "coupled"))
-    process = cfg["process"]
-    if process not in PROCESSES:
-        raise ConfigError(f"process must be one of {PROCESSES}")
-    _require(cfg, _LAWS[process][0], f"the {process} process")
+    cfg = _merge_config(args)
     sigma = parse_spherical_spec(cfg["sigma"])
     T = float(cfg["T"])
     n_paths = int(cfg["paths"])
@@ -177,16 +203,20 @@ def cmd_simulate(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     coupled = cfg.pop("coupled", "")     # the manifest keeps it beside the config
-    law = _LAWS[process][1](cfg, sigma)
-    jobs = [(process, law)] + (_parse_coupled(coupled, sigma) if coupled else [])
+    law, _ = _process_law(args.command, cfg, sigma)
+    jobs = [(cfg["process"], law)] + (_parse_coupled(coupled, sigma) if coupled else [])
+    # a run that cannot finish writes nothing: the first draw checks the cap,
+    # T and the arrival budget, and the bound is found, before any file opens
+    started = time.time()
+    first = law.draw(mc.substream(seed, 0), T, gamma_cap)
+    bound = law.truncation_bound(gamma_cap)
 
     out = args.out or "layerlab_run"
     suffix = "." + fmt
     stem = out[:-len(suffix)] if out.endswith(suffix) else out
-    started = time.time()
     files = []
     for p in range(n_paths):
-        draw = law.draw(mc.substream(seed, p), T, gamma_cap)
+        draw = first if p == 0 else law.draw(mc.substream(seed, p), T, gamma_cap)
         for label, job in jobs:
             path = job.path(draw, grid)
             name = stem
@@ -207,7 +237,7 @@ def cmd_simulate(args) -> int:
         "coupled": coupled,
         "files": files,
         "seed": seed,
-        "truncation_bound": law.truncation_bound(gamma_cap),
+        "truncation_bound": bound,
         "wall_time_s": time.time() - started,
     }
     write_json(stem + ".manifest.json", manifest)
@@ -215,8 +245,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    cfg = _merge_config(args, ("alpha", "beta", "sigma", "paths", "seed"),
-                        required=("alpha", "beta"))
+    cfg = _merge_config(args)
     h = float(args.h)
     n_paths = int(cfg["paths"])
     threshold = float(args.threshold)
@@ -242,9 +271,7 @@ def cmd_limit_check(args) -> int:
 
 
 def cmd_rn(args) -> int:
-    cfg = _merge_config(args, ("alpha", "beta", "sigma", "T", "grid_n",
-                               "paths", "seed", "gamma_cap"),
-                        required=("alpha", "beta", "paths"))
+    cfg = _merge_config(args)
     report = girsanov.rn_diagnostics(
         float(cfg["alpha"]), float(cfg["beta"]), parse_spherical_spec(cfg["sigma"]),
         args.functional, int(cfg["paths"]), int(cfg["seed"]), T=float(cfg["T"]),
@@ -255,19 +282,14 @@ def cmd_rn(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    cfg = _merge_config(args, ("process", "alpha", "beta", "sigma", "paths",
-                               "seed", "gamma_cap"), required=("paths",))
-    process = cfg["process"]
-    if process not in _TAIL_INDEX:
-        raise ConfigError("tail process must be stable or layered")
-    _require(cfg, _LAWS[process][0], f"the {process} process")
+    cfg = _merge_config(args)
     n_paths = int(cfg["paths"])
     if n_paths < 1000:
         raise ConfigError("tail estimation needs at least 10^3 paths")
     if args.k is not None and not 0 < args.k < n_paths:
         raise ConfigError(f"k = {args.k} must lie strictly between 0 and paths = {n_paths}")
     seed = int(cfg["seed"])
-    law = _LAWS[process][1](cfg, parse_spherical_spec(cfg["sigma"]))
+    law, index = _process_law(args.command, cfg, parse_spherical_spec(cfg["sigma"]))
     x = mc.terminals(law, n_paths, seed, gamma_cap=float(cfg["gamma_cap"]))
     mags = np.linalg.norm(np.atleast_2d(x), axis=1)
     mags = mags[mags > 0]
@@ -276,13 +298,13 @@ def cmd_tail(args) -> int:
         raise ConfigError(f"k = {k} must be smaller than the sample size {len(mags)}")
     est, lo, hi = stats.hill_ci(mags, k, seed=seed)
     report = {
-        "process": process,
+        "process": cfg["process"],
         "paths": n_paths,
         "k": k,
         "hill_estimate": est,
         "ci_low": lo,
         "ci_high": hi,
-        "nominal_index": float(cfg[_TAIL_INDEX[process]]),
+        "nominal_index": float(cfg[index]),
     }
     _emit(args.out, report)
     return EXIT_OK
@@ -383,55 +405,29 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Layered stable process toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, allow_abbrev=False, **kw)
+    def add_parser(name, fn, summary):
+        # a command that reads settings takes a flag for each (_COMMANDS)
+        p = sub.add_parser(name, allow_abbrev=False, help=summary)
+        p.set_defaults(fn=fn)
+        if name in _COMMANDS:
+            flags, _, processes = _COMMANDS[name]
+            p.add_argument("--config", help="key = value config file")
+            for key in flags:
+                opts = ({} if key == "out" else {"choices": processes} if key == "process"
+                        else _SETTINGS[key][0])
+                p.add_argument("--" + key.replace("_", "-"), **opts)
+        return p
 
-    def common(p, grid=True, cap=True):
-        # grid: the command builds paths on a grid over [0, T] (simulate, rn);
-        # limit-check and tail take no --T or --grid-n, which they would ignore.
-        # cap: the command runs the truncated series; limit-check does not
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--sigma")
-        if grid:
-            p.add_argument("--T", type=float)
-            p.add_argument("--grid-n", dest="grid_n", type=int)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--seed", type=int)
-        if cap:
-            p.add_argument("--gamma-cap", dest="gamma_cap", type=float)
-        p.add_argument("--out")
-
-    p = add_parser("simulate", help="simulate sample paths to CSV or JSON")
-    common(p)
-    p.add_argument("--process", choices=PROCESSES)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--base", choices=("inner", "outer"))
-    p.add_argument("--mix", help="alpha:prob pairs for the mixed process")
-    p.add_argument("--coupled", help="companion processes on the same draw")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = add_parser("limit-check", help="verify a scaling-limit theorem")
-    common(p, grid=False, cap=False)
+    add_parser("simulate", cmd_simulate, "simulate sample paths to CSV or JSON")
+    p = add_parser("limit-check", cmd_limit_check, "verify a scaling-limit theorem")
     p.add_argument("--mode", required=True, choices=("short", "long"))
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--threshold", type=float, default=0.07)
-    p.set_defaults(fn=cmd_limit_check)
-
-    p = add_parser("rn", help="Radon-Nikodym diagnostics")
-    common(p)
+    p = add_parser("rn", cmd_rn, "Radon-Nikodym diagnostics")
     p.add_argument("--functional", default="sup-exceeds:3")
-    p.set_defaults(fn=cmd_rn)
-
-    p = add_parser("tail", help="Hill tail-index estimate")
-    common(p, grid=False)
-    p.add_argument("--process", choices=tuple(_TAIL_INDEX))
+    p = add_parser("tail", cmd_tail, "Hill tail-index estimate")
     p.add_argument("--k", type=int)
-    p.set_defaults(fn=cmd_tail)
-
-    p = add_parser("selftest", help="run the reduced invariant suite")
-    p.set_defaults(fn=cmd_selftest)
+    add_parser("selftest", cmd_selftest, "run the reduced invariant suite")
     return ap
 
 

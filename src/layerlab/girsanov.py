@@ -67,17 +67,17 @@ class DensityRatio:
         return float(vals[0]) if z.ndim < 2 else vals
 
 
-def drift_compatibility(q: LayeredQ, sigma: SphericalMeasure, k0, k1,
-                        tol: float = 1e-9):
+def drift_compatibility(q: LayeredQ, sigma: SphericalMeasure, k0, k1):
     """Check the mutual-absolute-continuity drift condition.
 
     Returns (compatible, required_difference): the layered drift k0 and the
-    stable drift k1 must differ by a case-exact correction vector.
+    stable drift k1 must differ by a case-exact correction vector, to within
+    1e-9 in each component.
     """
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))
     k1 = np.atleast_1d(np.asarray(k1, dtype=float))
     required = required_drift_difference(q, sigma)
-    ok = bool(np.all(np.abs((k0 - k1) - required) <= tol))
+    ok = bool(np.all(np.abs((k0 - k1) - required) <= 1e-9))
     return ok, required
 
 
@@ -268,8 +268,9 @@ def u_levy_tail(alpha: float, beta: float, sigma_mass: float, y: float) -> float
     return sigma_mass / alpha * np.exp(-alpha / (alpha - beta) * y)
 
 
-def singularity_witness(ratio: DensityRatio, radii=None):
-    """Evaluate psi toward the origin and report its divergence direction.
+def singularity_witness(ratio: DensityRatio):
+    """Evaluate psi at the radii 10^-1, ..., 10^-8 toward the origin and
+    report its divergence direction.
 
     The outer-stable reference is singular for alpha != beta; the witness is
     psi -> -oo (alpha < beta, mass condition fails) or +oo (alpha > beta,
@@ -278,7 +279,7 @@ def singularity_witness(ratio: DensityRatio, radii=None):
     q = ratio.q
     if q.alpha == q.beta:
         raise ValueError("alpha = beta is not singular")
-    radii = np.logspace(-1, -8, 8) if radii is None else np.asarray(radii, dtype=float)
+    radii = np.logspace(-1, -8, 8)
     vals = ratio.psi(radii[:, None])
     direction = "-inf" if q.alpha < q.beta else "+inf"
     failing = ("mass of {psi < -1} under the outer stable measure"

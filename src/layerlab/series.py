@@ -249,11 +249,13 @@ def _assemble(grid, draw: ShotNoiseDraw, mags, drift=None, keep=None) -> SampleP
         raise ValueError(f"{n} grid points x {d} dimensions exceed the budget of "
                          f"{MAX_GRID_VALUES:.0e} grid values per path")
     times, mags, directions = _kept(draw, mags, keep)
-    vectors = mags[:, None] * directions
     drift = np.zeros(d) if drift is None else drift
     cell = _grid_cells(grid, times)
+    # column by column: a broadcast over the short rows runs about twice as slow
+    vectors = np.empty((len(mags), d))
     sums = np.empty((n, d))
     for k in range(d):
+        np.multiply(mags, directions[:, k], out=vectors[:, k])
         sums[:, k] = np.bincount(cell, weights=vectors[:, k], minlength=n + 1)[:n]
     values = np.cumsum(sums, axis=0) + np.outer(grid, drift)
     return SamplePath(grid=grid, values=values, jump_times=times, jump_vectors=vectors)

@@ -202,9 +202,15 @@ class SphericalMeasure:
         """
         if self.is_uniform:
             g = rng.standard_normal((n, self.dimension))
-            # summed column by column: np.linalg.norm's short-axis reduce is slow
+            # column by column into a new array: np.linalg.norm's short-axis
+            # reduce, a broadcast over the short rows and dividing g in place
+            # are each slower
             ss = sum((g[:, j] * g[:, j] for j in range(1, self.dimension)), g[:, 0] * g[:, 0])
-            return g / np.sqrt(ss)[:, None]
+            norm = np.sqrt(ss)
+            out = np.empty_like(g)
+            for j in range(self.dimension):
+                np.divide(g[:, j], norm, out=out[:, j])
+            return out
         u = rng.random(n) * self._cum[-1]
         return self.atoms.take(_atom_index(self._table, u), axis=0)
 

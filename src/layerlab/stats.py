@@ -21,6 +21,8 @@ from .spherical import SphericalMeasure
 
 GRID_AXIS_POINTS = 21     # per axis of the default frequency grid
 MAX_PHASE_VALUES = 1e7    # samples x frequencies in cf_distance, ~0.4 GB of temporaries
+HILL_RESAMPLES = 200      # bootstrap resamples in hill_ci
+HILL_LEVEL = 0.95         # coverage of hill_ci's interval
 
 
 def _as_frequencies(Y, d: int) -> np.ndarray:
@@ -46,12 +48,10 @@ class StableCF:
     """Exact alpha-stable characteristic function for a spherical measure."""
 
     def __init__(self, alpha: float, sigma: SphericalMeasure, eta=None):
-        if not 0.0 < alpha < 2.0:
-            raise ValueError(f"need alpha in (0,2), got {alpha}")
+        self.c = stable_cf_constant(alpha)      # refuses alpha outside (0, 2)
         self.alpha = alpha
         self.sigma = sigma
         self.eta = np.zeros(sigma.dimension) if eta is None else np.asarray(eta, float)
-        self.c = stable_cf_constant(alpha)
 
     @classmethod
     def series_marginal(cls, alpha: float, sigma: SphericalMeasure) -> "StableCF":
@@ -172,10 +172,9 @@ class LayeredQuadratureCF:
     """Levy-Khintchine CF of a layered measure by adaptive radial quadrature, once
     per distinct (|a|, xi), as f(-a, xi) = conj f(a, xi); a canonical q ignores xi."""
 
-    def __init__(self, q: LayeredQ, sigma: SphericalMeasure, eta=None):
+    def __init__(self, q: LayeredQ, sigma: SphericalMeasure):
         self.q = q
         self.sigma = sigma
-        self.eta = np.zeros(sigma.dimension) if eta is None else np.asarray(eta, float)
         self._cache: dict[tuple, complex] = {}
 
     def _atom_exponent(self, a: float, xi) -> complex:
@@ -190,7 +189,7 @@ class LayeredQuadratureCF:
         a, w, atoms = self.sigma.project(Y, 48)
         xis = [None] * a.shape[1] if atoms is None or self.q.is_canonical else list(atoms)
         psi = [[self._atom_exponent(x, xi) for x, xi in zip(row, xis)] for row in a.tolist()]
-        return 1j * (Y @ self.eta) + np.array(psi, dtype=complex) @ w
+        return np.array(psi, dtype=complex) @ w
 
     def __call__(self, y) -> complex:
         return np.exp(self.exponent(np.reshape(y, (1, -1)))[0])
@@ -252,17 +251,17 @@ def hill_tail_index(magnitudes, k: int | None = None) -> float:
     return float(1.0 / mean_log)
 
 
-def hill_ci(magnitudes, k: int | None = None, n_boot: int = 200,
-            level: float = 0.95, seed: int = 0):
-    """Bootstrap confidence interval for the Hill estimate."""
+def hill_ci(magnitudes, k: int | None = None, seed: int = 0):
+    """The Hill estimate and its bootstrap confidence interval: HILL_LEVEL
+    coverage from HILL_RESAMPLES resamples."""
     x = np.asarray(magnitudes, dtype=float)
     est = hill_tail_index(x, k)
     rng = np.random.default_rng(seed)
     n = len(x)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(HILL_RESAMPLES)
+    for b in range(HILL_RESAMPLES):
         boots[b] = hill_tail_index(rng.choice(x, size=n, replace=True), k)
-    lo, hi = np.quantile(boots, [(1 - level) / 2.0, (1 + level) / 2.0])
+    lo, hi = np.quantile(boots, [(1 - HILL_LEVEL) / 2.0, (1 + HILL_LEVEL) / 2.0])
     return est, float(lo), float(hi)
 
 

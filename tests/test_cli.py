@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, manifest round trips, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from layerlab import (SphericalMeasure, draw_shot_noise, layered_path_canonical,
                       layered_path_rejection, make_grid, substream)
 from layerlab.cli import (_DEFAULTS, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
-                          EXIT_OK, PROCESSES, entrypoint, write_csv)
+                          EXIT_OK, PROCESSES, build_parser, entrypoint, write_csv)
 
 
 def run(*argv):
@@ -466,6 +467,35 @@ def test_tail_process_from_config_checked(tmp_path):
     assert run("tail", "--config", str(cfg), "--paths", "1000") == EXIT_CONFIG
 
 
+# every long flag of each command and the --process choices, as the parser
+# gives them: a flag or a process added, dropped or renamed fails here
+_FLAGS = {
+    "simulate": {"--alpha", "--base", "--beta", "--config", "--coupled", "--format",
+                 "--gamma-cap", "--grid-n", "--help", "--mix", "--out", "--paths",
+                 "--process", "--seed", "--sigma", "--T"},
+    "limit-check": {"--alpha", "--beta", "--config", "--h", "--help", "--mode", "--out",
+                    "--paths", "--seed", "--sigma", "--threshold"},
+    "rn": {"--alpha", "--beta", "--config", "--functional", "--gamma-cap", "--grid-n",
+           "--help", "--out", "--paths", "--seed", "--sigma", "--T"},
+    "tail": {"--alpha", "--beta", "--config", "--gamma-cap", "--help", "--k", "--out",
+             "--paths", "--process", "--seed", "--sigma"},
+    "selftest": {"--help"},
+}
+_PROCESS_CHOICES = {"simulate": {"stable", "layered", "layered-rejection", "mixed"},
+                    "tail": {"stable", "layered"}}
+
+
+def test_parser_surface():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(_FLAGS)
+    for name, parser in commands.items():
+        flags = {o: a for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert set(flags) == _FLAGS[name], name
+        process = flags.get("--process")
+        assert (set(process.choices) if process else None) == _PROCESS_CHOICES.get(name), name
+
+
 def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
     # a quadrature that does not converge ends in exit 2 with a message
     import layerlab.series as series
@@ -490,6 +520,20 @@ def test_numerical_error_exit_config(monkeypatch, capsys, tmp_path):
                        "--out", str(tmp_path / process[0]))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("numerical error: ")
+
+
+@pytest.mark.parametrize("process", [("stable", "--alpha", "1e-300"),
+                                     ("layered", "--alpha", "1.3", "--beta", "1e-300")],
+                         ids=["stable", "layered"])
+def test_overflowing_truncation_bound_writes_nothing(process, tmp_path):
+    # the run is refused on its manifest's bound before any path file is opened
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("simulate", "--process", *process, "--gamma-cap", "10",
+                   "--out", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
+    assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
