@@ -137,10 +137,12 @@ _COMMANDS = {
 def _merge_config(args) -> dict:
     """The command's settings: defaults, then the config file, then flags.
 
-    A config file may set the settings the command reads and no others; a
-    setting the command requires takes no default.
+    A config file may set the settings the command reads and no others, and
+    a setting with choices (the command's processes, for process) only to
+    one of them, as its flag may; a setting the command requires takes no
+    default.
     """
-    flags, required, _ = _COMMANDS[args.command]
+    flags, required, processes = _COMMANDS[args.command]
     keys = [k for k in flags if k != "out"]
     cfg = {k: _DEFAULTS[k] for k in keys if k in _DEFAULTS and k not in required}
     if args.config:
@@ -152,6 +154,10 @@ def _merge_config(args) -> dict:
     unknown = set(cfg) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key, val in cfg.items():
+        choices = processes if key == "process" else _SETTINGS[key][0].get("choices")
+        if choices and val not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {val!r}")
     _require(cfg, required, f"the {args.command} command")
     return cfg
 
@@ -163,13 +169,10 @@ def _require(cfg, keys, what) -> None:
         raise ConfigError(f"{what} requires {' and '.join(missing)}")
 
 
-def _process_law(command, cfg, sigma):
-    """The law of the configured process, one the command runs, and the
-    setting that gives its nominal tail index."""
+def _process_law(cfg, sigma):
+    """The law of the configured process (_merge_config checked that the
+    command runs it), and the setting that gives its nominal tail index."""
     process = cfg["process"]
-    processes = _COMMANDS[command][2]
-    if process not in processes:
-        raise ConfigError(f"process must be one of {processes}")
     required, tail_index, law = _LAWS[process]
     _require(cfg, required, f"the {process} process")
     return law(cfg, sigma), tail_index
@@ -200,16 +203,18 @@ def cmd_simulate(args) -> int:
     gamma_cap = float(cfg["gamma_cap"])
     grid = make_grid(T, int(cfg["grid_n"]))
     fmt = cfg["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     coupled = cfg.pop("coupled", "")     # the manifest keeps it beside the config
-    law, _ = _process_law(args.command, cfg, sigma)
+    law, _ = _process_law(cfg, sigma)
     jobs = [(cfg["process"], law)] + (_parse_coupled(coupled, sigma) if coupled else [])
     # a run that cannot finish writes nothing: the first draw checks the cap,
     # T and the arrival budget, and the bound is found, before any file opens
     started = time.time()
     first = law.draw(mc.substream(seed, 0), T, gamma_cap)
-    bound = law.truncation_bound(gamma_cap)
+    try:
+        bound = law.truncation_bound(gamma_cap)
+    except OverflowError as exc:
+        raise OverflowError(f"the truncation bound, the largest jump that gamma_cap = "
+                            f"{gamma_cap:g} discards, overflows a float ({exc.args[-1]})") from exc
 
     out = args.out or "layerlab_run"
     suffix = "." + fmt
@@ -289,7 +294,7 @@ def cmd_tail(args) -> int:
     if args.k is not None and not 0 < args.k < n_paths:
         raise ConfigError(f"k = {args.k} must lie strictly between 0 and paths = {n_paths}")
     seed = int(cfg["seed"])
-    law, index = _process_law(args.command, cfg, parse_spherical_spec(cfg["sigma"]))
+    law, index = _process_law(cfg, parse_spherical_spec(cfg["sigma"]))
     x = mc.terminals(law, n_paths, seed, gamma_cap=float(cfg["gamma_cap"]))
     mags = np.linalg.norm(np.atleast_2d(x), axis=1)
     mags = mags[mags > 0]

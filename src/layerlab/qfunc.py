@@ -179,6 +179,14 @@ class LayeredQ:
             if r <= 1.0:
                 return (r ** (-a) - 1.0) / a + 1.0 / b
             return r ** (-b) / b
+        try:
+            return self._custom_tail(r, xi)
+        except OverflowError as exc:      # a Python-float q_fn near r = 0
+            raise QuadratureError(f"tail integral at r = {r:g}: q overflows a float "
+                                  f"({exc.args[-1]})") from exc
+
+    def _custom_tail(self, r: float, xi) -> float:
+        a, b = self.alpha, self.beta
         # Substitute v = s^(-alpha) on the inner piece and v = s^(-beta) on
         # the outer one: the transformed integrands tend to the constants
         # c1/alpha and c2/beta at the power-law ends, so the quadrature sees
@@ -252,24 +260,28 @@ class LayeredQ:
         lo, hi = tab.log_r[j], tab.log_r[j - 1]
         top, q_top = hi, tab.level[j - 1]
         g = np.clip(np.interp(np.log(uu), tab.log_level, tab.log_r), lo, hi)
-        for _ in range(_NEWTON_STEPS):
-            if not idx.size:
-                break
-            # Q(e^g) = Q(e^top) + the integral of q from e^g up to e^top
-            f = q_top + self._log_integral(g, top, xi, _GAUSS_HIGH) - uu
-            slope = self._r_q(g, xi)
-            # Q falls with log r, so Q > u puts the root above g
-            lo = np.where(f > 0.0, g, lo)
-            hi = np.where(f < 0.0, g, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # every operation is entrywise, so an entry's bytes do not depend on
+        # the others: the caller may pool levels, and the working arrays
+        # shrink only on a step where some entry finished
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                if not idx.size:
+                    break
+                # Q(e^g) = Q(e^top) + the integral of q from e^g up to e^top
+                integral, slope = self._log_integral(g, top, xi, _GAUSS_HIGH)
+                f = q_top + integral - uu
+                # Q falls with log r, so Q > u puts the root above g
+                lo = np.where(f > 0.0, g, lo)
+                hi = np.where(f < 0.0, g, hi)
                 step = g + f / slope
-            safe = (step > lo) & (step < hi)
-            done = np.abs(f) <= _NEWTON_RTOL * uu
-            out[idx[done]] = np.exp(np.where(safe, step, g)[done])
-            g = np.where(safe, step, 0.5 * (lo + hi))
-            keep = ~done
-            idx, uu, g, lo, hi, top, q_top = (
-                x[keep] for x in (idx, uu, g, lo, hi, top, q_top))
+                safe = (step > lo) & (step < hi)
+                done = np.abs(f) <= _NEWTON_RTOL * uu
+                if done.any():
+                    out[idx[done]] = np.exp(np.where(safe, step, g)[done])
+                    keep = ~done
+                    idx, uu, step, safe, lo, hi, top, q_top = (
+                        x[keep] for x in (idx, uu, step, safe, lo, hi, top, q_top))
+                g = np.where(safe, step, 0.5 * (lo + hi))
         for i in np.flatnonzero(np.isnan(out)):
             out[i] = self._bisect_inverse(float(u[i]), xi)
         return out
@@ -297,8 +309,8 @@ class LayeredQ:
         # Q summed downward from the top node: upward from r = 1 the sum
         # would subtract nearly equal numbers
         t = _LOG_R_NODES
-        high = self._log_integral(t[:-1], t[1:], xi, _GAUSS_HIGH)
-        low = self._log_integral(t[:-1], t[1:], xi, _GAUSS_LOW)
+        high, _ = self._log_integral(t[:-1], t[1:], xi, _GAUSS_HIGH)
+        low, _ = self._log_integral(t[:-1], t[1:], xi, _GAUSS_LOW)
         cell_ok = np.abs(high - low) <= _CELL_RTOL * np.abs(high)
         level = np.empty(len(t))
         level[-1] = self.tail_integral(float(np.exp(t[-1])), xi)
@@ -308,12 +320,17 @@ class LayeredQ:
         return _TailTable(t[::-1], level[::-1], np.log(level[::-1]),
                           np.append(cell_ok, False)[::-1])
 
-    def _log_integral(self, lo, hi, xi, rule) -> np.ndarray:
-        """Integral of q(r, xi) dr over [e^lo, e^hi], Gauss-Legendre in log r."""
+    def _log_integral(self, lo, hi, xi, rule) -> tuple[np.ndarray, np.ndarray]:
+        """Integral of q(r, xi) dr over [e^lo, e^hi], Gauss-Legendre in log r,
+        and r q(r, xi) at r = e^lo, its rate of change in -lo: q is read at
+        the nodes and at e^lo in one call."""
         x, w = rule
         half = 0.5 * (hi - lo)
-        t = (0.5 * (hi + lo))[:, None] + half[:, None] * x
-        return half * np.sum(self._r_q(t, xi) * w, axis=1)
+        t = np.empty((len(lo), len(x) + 1))
+        np.add((0.5 * (hi + lo))[:, None], half[:, None] * x, out=t[:, :-1])
+        t[:, -1] = lo
+        r_q = self._r_q(t, xi)
+        return half * np.add.reduce(r_q[:, :-1] * w, axis=1), r_q[:, -1]
 
     def _r_q(self, t: np.ndarray, xi) -> np.ndarray:
         """r * q(r, xi) at r = e^t; a q_fn written for scalars is looped."""

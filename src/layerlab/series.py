@@ -307,19 +307,38 @@ def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float) -> np
         lambda xi: q.radial_moment(1, q.series_magnitude(n / T, m, xi), 1.0, xi), 1)
 
 
-def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure,
+def _tail_groups(q: LayeredQ, sigma: SphericalMeasure) -> list:
+    # the atoms of a discrete sigma grouped by q.same_tail, as (representative,
+    # members) in order of first appearance; on a uniform sigma q is read at
+    # xi = None (a direction-free q, as SphericalMeasure.integrate takes it)
+    if sigma.is_uniform:
+        return [(None, [])]
+    groups = []
+    for atom in sigma.atoms:
+        group = next((g for g in groups if q.same_tail(g[0], atom)), None)
+        if group is None:
+            groups.append((atom, [atom]))
+        else:
+            group[1].append(atom)
+    return groups
+
+
+def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure, groups: list,
                        draw: ShotNoiseDraw) -> np.ndarray:
-    # one array inverse per atom of a discrete measure, so one cached table
-    # per atom; on a uniform measure q is read at xi = None (a direction-free
-    # q, as SphericalMeasure.integrate takes it), so one table serves all jumps
+    # one array inverse per group of atoms whose tail tables agree, on the
+    # representative's table (one inverse in all on a uniform measure).  The
+    # inverse is entrywise, so each jump gets the bytes its own atom's
+    # inverse would give it
     levels, m = draw.gammas / draw.T, sigma.total_mass()
     if sigma.is_uniform:
         return q.series_magnitude(levels, m, None)
     mags = np.full_like(levels, np.nan)
-    for atom in sigma.atoms:
-        on_atom = np.all(draw.directions == atom, axis=1)
-        if np.any(on_atom):
-            mags[on_atom] = q.series_magnitude(levels[on_atom], m, atom)
+    for rep, members in groups:
+        on = np.all(draw.directions == members[0], axis=1)
+        for atom in members[1:]:
+            on |= np.all(draw.directions == atom, axis=1)
+        if np.any(on):
+            mags[on] = q.series_magnitude(levels[on], m, rep)
     if np.isnan(mags).any():
         raise ValueError("a jump direction is not an atom of the spherical measure")
     return mags
@@ -375,24 +394,26 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
 
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
-    # canonical q: closed-form magnitudes; custom q: tabled inverse tail.  Both
-    # center unless sigma is symmetric and q the same at each atom and its
-    # antipode, as for a canonical q, or any q on a uniform sigma (xi = None)
+    # canonical q: closed-form magnitudes; custom q: tabled inverse tail, one
+    # inversion a draw per group of atoms whose tail tables agree byte for
+    # byte (one group for a direction-free q).  Both center unless sigma is
+    # symmetric and q the same at each atom and its antipode, as for a
+    # canonical q, or any q on a uniform sigma (xi = None)
     m = sigma.total_mass()
+    groups = _tail_groups(q, sigma)
     pairs = sigma.antipodes
     centered = not sigma.is_symmetric() or (pairs is not None and not all(
         q.same_tail(a, sigma.atoms[j]) for a, j in zip(sigma.atoms, pairs)))
 
     def jumps(draw):
         mags = (canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)
-                if q.is_canonical else _custom_magnitudes(q, sigma, draw))
+                if q.is_canonical else _custom_magnitudes(q, sigma, groups, draw))
         drift = -_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T if centered else None
         return mags, drift, None
 
-    # a direction-dependent q discards different jumps on each atom
-    atoms = [None] if sigma.is_uniform else sigma.atoms
-    return SeriesLaw(sigma, jumps, lambda cap: max(q.series_magnitude(cap, m, xi)
-                                                   for xi in atoms))
+    # a direction-dependent q discards different jumps on each group's atoms
+    return SeriesLaw(sigma, jumps, lambda cap: max(q.series_magnitude(cap, m, rep)
+                                                   for rep, _ in groups))
 
 
 def rejection_law(alpha: float, beta: float, sigma: SphericalMeasure,

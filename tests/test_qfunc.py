@@ -205,6 +205,17 @@ def test_table_inverse_beyond_table_ends():
     assert 1e12 > tab.level[-1] and 1e-20 < tab.level[0]
 
 
+def test_inverse_tail_overflow_is_a_quadrature_error():
+    # a level far above the table sends the Brent search to radii where
+    # blend_q's Python-float ** overflows inside tail_integral's quadrature:
+    # a QuadratureError that names the radius, not a bare OverflowError
+    from layerlab import QuadratureError
+    q = blend_q(1.3, 1.9)
+    with pytest.raises(QuadratureError, match=r"^tail integral at r = \S+e-\d+: q overflows"):
+        q.inverse_tail(1e200)
+    assert abs(q.tail_integral(q.inverse_tail(1e12)) - 1e12) <= 1e-10 * 1e12
+
+
 def test_table_inverse_cached_per_direction():
     q = blend_q(1.3, 1.9)
     q.inverse_tail(1.0)

@@ -395,6 +395,62 @@ def test_custom_magnitudes_reject_a_direction_off_the_atoms(skew1):
         layered_path_general(blend_q(1.3, 1.9), skew1, draw, make_grid(1.0, 2))
 
 
+_POOLING_MEASURES = {
+    "symmetric": SphericalMeasure.symmetric_pair(2.0),
+    "skew-2-1": SphericalMeasure.discrete([[1.0], [-1.0]], [2.0, 1.0]),
+    "repeated-direction": SphericalMeasure.discrete([[1.0], [2.0], [-1.0]], [1.0, 1.0, 1.0]),
+    "three-atom-d2": SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
+                                               [1.0, 0.6, 0.4]),
+}
+# inversions a draw that reaches every atom takes: a direction-free q has one
+# tail on every measure; q_dir one per direction (the repeated +1 shares one)
+_POOLED_CALLS = {"blend": {k: 1 for k in _POOLING_MEASURES},
+                 "q_dir": {"symmetric": 2, "skew-2-1": 2, "repeated-direction": 2,
+                           "three-atom-d2": 3}}
+
+
+@pytest.mark.parametrize("measure", sorted(_POOLING_MEASURES))
+@pytest.mark.parametrize("q_name", sorted(_POOLED_CALLS))
+def test_custom_magnitudes_pool_atoms_with_one_tail(q_name, measure, monkeypatch):
+    # the jump map inverts each group of atoms whose tail tables agree in one
+    # call, and each jump keeps the bytes of its own atom's inverse
+    from layerlab import blend_q
+    sigma = _POOLING_MEASURES[measure]
+    q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
+    law, m = layered_law(q, sigma), sigma.total_mass()
+    groups = series._tail_groups(q, sigma)
+    calls = []
+    inverse = LayeredQ.series_magnitude
+    for seed, cap in ((2301, 40.0), (2302, 1e3)):
+        draw = law.draw(seed, 1.0, cap)
+        levels = draw.gammas / draw.T
+        ref = np.full_like(levels, np.nan)
+        for atom in sigma.atoms:
+            on = np.all(draw.directions == atom, axis=1)
+            ref[on] = q.series_magnitude(levels[on], m, atom)
+        monkeypatch.setattr(LayeredQ, "series_magnitude",
+                            lambda *a: calls.append(a) or inverse(*a))
+        mags = series._custom_magnitudes(q, sigma, groups, draw)
+        monkeypatch.undo()
+        assert mags.tobytes() == ref.tobytes()
+        assert len(calls) == _POOLED_CALLS[q_name][measure]
+        calls.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.lists(st.floats(-14.0, 11.0), max_size=25), min_size=1, max_size=4),
+       q_name=st.sampled_from(["blend", "q_dir"]))
+def test_table_inverse_of_a_concatenation(parts, q_name):
+    # the inverse is entrywise: inverting levels together gives each level
+    # the bytes it gets alone, which is what lets the jump map pool atoms
+    from layerlab import blend_q
+    q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
+    xi = np.array([1.0])
+    levels = [10.0 ** np.array(p, dtype=float) for p in parts]
+    whole = q._table_inverse(np.concatenate(levels), xi)
+    assert whole.tobytes() == np.concatenate([q._table_inverse(u, xi) for u in levels]).tobytes()
+
+
 def test_mixed_point_mass_degenerates_to_stable(sym1):
     # AC-style exactness on a shared draw
     mix = MixDistribution.point_mass(0.8)
