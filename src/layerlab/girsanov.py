@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .mc import run_paths
-from .qfunc import LayeredQ, jump_mean, levy_tail_mass, limit_mean
+from .qfunc import LayeredQ, QuadratureError, jump_mean, levy_tail_mass, limit_mean
 from .series import (SamplePath, ShotNoiseDraw, draw_shot_noise,
                      layered_path_canonical, make_grid, stable_path)
 from .spherical import SphericalMeasure
@@ -95,8 +95,8 @@ def required_drift_difference(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarra
         val, err = integrate.quad(
             lambda r: r * (q.eval_q(r, xi) - c1 * r ** (-a - 1.0)), 0.0, 1.0,
             epsabs=1e-10, epsrel=1e-10, limit=200)
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise RuntimeError("drift-correction quadrature did not converge")
+        if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
+            raise QuadratureError("drift-correction quadrature did not converge")
         return val
 
     corr = sigma.integrate(correction, 1)

@@ -1,4 +1,4 @@
-"""The layered radial density q, its tail integral and generalized inverse.
+"""The layered radial density q, its radial moments and generalized inverse tail.
 
 The canonical two-layer density is
 
@@ -11,9 +11,12 @@ which is the mapping the shot-noise series inverts: with sigma_mass equal to
 the total mass of the accompanying spherical measure, the expected number of
 jumps of size > r on [0, T] is T * sigma_mass * Q(r).
 
+LayeredQ.radial_moment is every integral of r^k q dr: the tail Q(r) is its
+order-0 moment on (r, oo).
+
 The canonical inverse is the closed form canonical_magnitudes.  A custom q
 is inverted through a table built lazily once per direction xi: Q at
-log-spaced radii over [1e-8, 1e8] (a node sits at r = 1, where tail_integral
+log-spaced radii over [1e-8, 1e8] (a node sits at r = 1, where radial_moment
 splits), summed downward from one tail_integral anchor at the top node over
 Gauss-Legendre cell integrals in log r.  np.interp in log-log on the table
 gives the first guess, and a safeguarded Newton step in log r, with Q(r) =
@@ -24,6 +27,7 @@ its check and entries that do not converge fall back to a Brent search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -138,98 +142,79 @@ class LayeredQ:
         return 1.0 if self.is_canonical else float(self.c2_fn(xi))
 
     def radial_moment(self, k: float, lo: float, hi: float, xi=None) -> float:
-        """int_lo^hi r^k q(r, xi) dr, where hi may be inf.
+        """int_lo^hi r^k q(r, xi) dr, where hi may be inf; tail_integral is k = 0.
 
-        The range is split at r = 1, where the two power laws meet.  On each
-        piece the canonical q has a closed form; a custom q takes an adaptive
-        quadrature and raises QuadratureError when it does not converge.  A
-        divergent integral raises ValueError: lo = 0 with k <= alpha, or
-        hi = inf with k >= beta.
+        The range is split at r = 1, where the two power laws meet: r^k q
+        behaves like r^(e-1), e = k - alpha below 1 and k - beta above.  The
+        canonical q has a closed form there.  A custom q is integrated in v =
+        r^e (t = log r at e = 0), where the integrand is bounded, and raises
+        QuadratureError when a quadrature fails its check.  A divergent
+        integral raises ValueError: lo = 0 with k <= alpha, or hi = inf with
+        k >= beta.
         """
         if lo == 0.0 and k <= self.alpha:
             raise ValueError(f"int_0 r^{k} q dr diverges for alpha = {self.alpha}")
         if hi == np.inf and k >= self.beta:
             raise ValueError(f"int^oo r^{k} q dr diverges for beta = {self.beta}")
         total = 0.0
-        for a, b, index in ((lo, min(hi, 1.0), self.alpha),
-                            (max(lo, 1.0), hi, self.beta)):
+        for a, b, index, inner in ((lo, min(hi, 1.0), self.alpha, True),
+                                   (max(lo, 1.0), hi, self.beta, False)):
             if not a < b:
                 continue
+            e = k - index
             if self.is_canonical:
                 # r^(k - index - 1); 0**e and inf**e are 0.0 on a convergent piece
-                e = k - index
                 total += np.log(b / a) if e == 0.0 else (b ** e - a ** e) / e
             else:
-                val, err = integrate.quad(lambda r: r ** k * self.q_fn(r, xi), a, b,
-                                          epsabs=1e-12, epsrel=1e-10, limit=300)
-                if not np.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-                    raise QuadratureError(
-                        f"radial moment of order {k} on [{a}, {b}] did not converge")
-                total += val
+                total += self._custom_moment(k, e, a, b, xi, inner)
         return total
+
+    def _custom_moment(self, k: float, e: float, a: float, b: float, xi,
+                       inner: bool) -> float:
+        # int_a^b r^k q dr in v = r^e, as q(v^(1/e)) v^((k+1)/e - 1) dv / |e|,
+        # which tends to c/|e| where r^k q ~ c r^(e-1) (at e = 0, in t = log r)
+        if e == 0.0:
+            f = lambda t: math.exp(t) ** (k + 1.0) * self.q_fn(math.exp(t), xi)
+            ends, width = [math.log(a), math.log(b)], 1.0
+        else:
+            p, w, width = 1.0 / e, (k + 1.0) / e - 1.0, abs(e)
+            f = lambda v: self.q_fn(v ** p, xi) * v ** w / width
+            ends = sorted((a ** e, b ** e))
+        # Below r = 1 the limiting constant c1/|e| is integrated analytically
+        # and only the remainder by quadrature, over segments of a factor 100
+        # in v where v grows without bound (e < 0): on the long near-constant
+        # stretch QUADPACK's extrapolation and error estimate fall into
+        # roundoff.  A last segment shorter than a relative 1e-9, too short
+        # to bisect, joins the one before.
+        head = self.c1(xi) / width if inner else 0.0
+        main = head * (ends[1] - ends[0])
+        cuts = [ends[0]]
+        while inner and e < 0.0 and cuts[-1] * 100.0 * (1.0 + 1e-9) < ends[1]:
+            cuts.append(cuts[-1] * 100.0)
+        cuts.append(ends[1])
+        tol = ({"epsabs": 1e-12 * max(main, b ** e), "epsrel": 1e-10} if inner
+               else {"epsabs": 0.0, "epsrel": 1e-11})
+        val = err = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            piece, piece_err = integrate.quad(lambda v: f(v) - head, lo, hi, limit=200, **tol)
+            val += piece
+            err += piece_err
+        if not np.isfinite(val) or err > 1e-8 * max(main + val, 1e-300):
+            raise QuadratureError(f"radial moment of order {k} on [{a}, {b}] did not converge")
+        return main + val
 
     # -- tail integral and inverse ------------------------------------
 
     def tail_integral(self, r: float, xi=None) -> float:
-        """Q(r, xi) = integral of q(s, xi) ds over (r, oo)."""
-        if r <= 0.0:
+        """Q(r, xi) = integral of q(s, xi) ds over (r, oo): radial_moment(0, r,
+        inf, xi), for r > 0."""
+        if not r > 0.0:                   # NaN fails too
             raise ValueError(f"tail integral needs r > 0, got {r}")
-        a, b = self.alpha, self.beta
-        if self.is_canonical:
-            if r <= 1.0:
-                return (r ** (-a) - 1.0) / a + 1.0 / b
-            return r ** (-b) / b
         try:
-            return self._custom_tail(r, xi)
+            return self.radial_moment(0, r, np.inf, xi)
         except OverflowError as exc:      # a Python-float q_fn near r = 0
             raise QuadratureError(f"tail integral at r = {r:g}: q overflows a float "
                                   f"({exc.args[-1]})") from exc
-
-    def _custom_tail(self, r: float, xi) -> float:
-        a, b = self.alpha, self.beta
-        # Substitute v = s^(-alpha) on the inner piece and v = s^(-beta) on
-        # the outer one: the transformed integrands tend to the constants
-        # c1/alpha and c2/beta at the power-law ends, so the quadrature sees
-        # a bounded integrand instead of a near-singular one.
-        total = 0.0
-        if r < 1.0:
-            # Peel off the limiting constant c1/alpha analytically and
-            # integrate only the decaying remainder; otherwise the long
-            # near-constant stretch drives the extrapolation into roundoff.
-            head = self.c1(xi) / a
-
-            def inner(v):
-                return self.q_fn(v ** (-1.0 / a), xi) * v ** (-1.0 / a - 1.0) / a - head
-
-            top = r ** -a
-            main = head * (top - 1.0)
-            # Integrate the remainder over log-spaced segments; on one long
-            # interval QUADPACK's error estimate is unreliable here.
-            cuts = [1.0]
-            while cuts[-1] * 100.0 < top:
-                cuts.append(cuts[-1] * 100.0)
-            cuts.append(top)
-            val = err = 0.0
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                piece, piece_err = integrate.quad(
-                    inner, lo, hi, epsabs=1e-12 * max(main, 1.0),
-                    epsrel=1e-10, limit=200)
-                val += piece
-                err += piece_err
-            if not np.isfinite(val) or err > 1e-8 * max(main + val, 1e-300):
-                raise QuadratureError(f"tail integral did not converge on [{r},1]")
-            total += main + val
-
-        big = max(r, 1.0)
-
-        def outer(v):
-            return self.q_fn(v ** (-1.0 / b), xi) * v ** (-1.0 / b - 1.0) / b
-
-        val, err = integrate.quad(outer, 0.0, big ** -b,
-                                  epsabs=0.0, epsrel=1e-11, limit=200)
-        if not np.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):
-            raise QuadratureError(f"tail integral did not converge on [{big},oo)")
-        return total + val
 
     def inverse_tail(self, u, xi=None):
         """Generalized inverse of r -> tail_scale * Q(r, xi) at level u.

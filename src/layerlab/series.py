@@ -294,17 +294,23 @@ def stable_drift_constant(alpha: float, sigma_mass: float, T: float) -> float:
     return stable_magnitudes(alpha, 1.0, sigma_mass, T) * zeta(1.0 / alpha)
 
 
-def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float) -> np.ndarray:
+def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float,
+                   groups: list | None = None) -> np.ndarray:
     # sum over i <= n of b_i = int_{i-1}^i E[ q_inv(s/T, V) V 1(q_inv <= 1) ] ds,
     # the centering of the layered law with zero shift, atom by atom: s = T m
     # Q(r, xi) turns int_{s*}^n q_inv(s/T) ds, s* = T m Q(1, xi), into the
     # radial moment T m int_{r_n}^1 r q(r, xi) dr, r_n = q_inv(n/T) (zero
-    # once r_n >= 1, and for a draw with no arrivals, n = 0)
+    # once r_n >= 1, and for a draw with no arrivals, n = 0); one moment per
+    # group of atoms with one tail, summed atom by atom as before
     if n == 0:
         return np.zeros(sigma.dimension)
     m = sigma.total_mass()
-    return T * sigma.integrate(
-        lambda xi: q.radial_moment(1, q.series_magnitude(n / T, m, xi), 1.0, xi), 1)
+    moment = {}
+    for rep, members in groups or _tail_groups(q, sigma):
+        if members:
+            value = q.radial_moment(1, q.series_magnitude(n / T, m, rep), 1.0, rep)
+            moment.update((atom.tobytes(), value) for atom in members)
+    return T * sigma.integrate(lambda xi: moment[xi.tobytes()], 1)
 
 
 def _tail_groups(q: LayeredQ, sigma: SphericalMeasure) -> list:
@@ -408,7 +414,8 @@ def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
     def jumps(draw):
         mags = (canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)
                 if q.is_canonical else _custom_magnitudes(q, sigma, groups, draw))
-        drift = -_centering_sum(q, sigma, draw.cutoff_index, draw.T) / draw.T if centered else None
+        drift = (-_centering_sum(q, sigma, draw.cutoff_index, draw.T, groups) / draw.T
+                 if centered else None)
         return mags, drift, None
 
     # a direction-dependent q discards different jumps on each group's atoms

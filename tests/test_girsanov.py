@@ -106,6 +106,17 @@ def test_required_drift_null_sigma1(skew1):
     np.testing.assert_allclose(required_drift_difference(q, skew1), [ref], rtol=1e-9)
 
 
+@pytest.mark.parametrize("result", [(float("nan"), 0.0), (1.0, 1.0)])
+def test_required_drift_correction_failure_is_a_quadrature_error(result, skew1, monkeypatch):
+    # a NaN value or a large error estimate from the correction's quadrature
+    from scipy import integrate
+
+    from layerlab import QuadratureError
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: result)
+    with pytest.raises(QuadratureError, match="drift-correction quadrature"):
+        required_drift_difference(blend_q(1.3, 1.9), skew1)
+
+
 def test_nu_gap_closed_forms(sym1):
     q = LayeredQ.canonical(1.3, 1.9, 2.0)
     m = 2.0

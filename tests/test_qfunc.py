@@ -308,7 +308,8 @@ def _as_custom(q):
 
 
 _MOMENT_RANGES = [(0.0, 1.0), (1.0, np.inf), (0.0, np.inf), (0.0, 1e-2),
-                  (0.3, np.inf), (4.0, np.inf)]
+                  (0.3, np.inf), (4.0, np.inf), (1e-12, 1.0), (1e-40, 1.0),
+                  (1e-12, np.inf)]
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, 4.5), (1.5, 2.5), (1.0, 2.0)])
@@ -324,6 +325,40 @@ def test_radial_moment_closed_form_matches_quadrature(alpha, beta):
                                        qc.radial_moment(k, lo, hi), rtol=1e-9)
             checked += 1
     assert checked >= 6
+
+
+def _q_dir():
+    # c(xi) = 1 + xi_1 / 2 weighs xi and -xi differently
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    return LayeredQ.custom(1.5, 0.8, lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                           c_dir, lambda xi: 1.0)
+
+
+def test_tail_integral_is_the_order_zero_moment():
+    # the tail is radial_moment(0, r, inf) byte for byte, canonical q and
+    # custom, at two atoms of a direction-dependent q
+    rs = np.logspace(-8, 8, 161)
+    for q, atoms in ((LayeredQ.canonical(1.3, 1.9, 2.0), (None,)),
+                     (blend_q(1.3, 1.9), (None,)),
+                     (_q_dir(), (np.array([1.0]), np.array([-1.0])))):
+        for xi in atoms:
+            for r in rs.tolist():
+                assert q.tail_integral(r, xi) == q.radial_moment(0, r, np.inf, xi)
+
+
+def test_small_lo_moment_against_the_closed_form():
+    # blend_q's first moment on [lo, 1], whose integrand r^-1.3 (1 + r)^-0.6
+    # has the antiderivative x^e / e 2F1(0.6, e; e + 1; -x), e = -0.3, down
+    # to lo = 1e-40
+    import mpmath
+    q = blend_q(1.3, 1.9)
+    with mpmath.workdps(30):
+        e = mpmath.mpf(1) - mpmath.mpf(1.3)
+        prim = lambda x: x ** e / e * mpmath.hyp2f1(mpmath.mpf(1.9) - mpmath.mpf(1.3),
+                                                    e, e + 1, -mpmath.mpf(x))
+        for lo in (10.0 ** -np.arange(4, 41, 4)).tolist():
+            ref = float(prim(1.0) - prim(lo))
+            assert abs(q.radial_moment(1, lo, 1.0) - ref) <= 1e-12 * ref
 
 
 def test_radial_moment_log_pieces():

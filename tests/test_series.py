@@ -437,6 +437,29 @@ def test_custom_magnitudes_pool_atoms_with_one_tail(q_name, measure, monkeypatch
         calls.clear()
 
 
+@pytest.mark.parametrize("measure", ["skew-2-1", "repeated-direction"])
+@pytest.mark.parametrize("q_name", sorted(_POOLED_CALLS))
+def test_centering_worked_out_once_per_tail(q_name, measure, monkeypatch):
+    # the centering inverts and integrates once per group of atoms with one
+    # tail, and equals the per-atom sum byte for byte
+    from layerlab import blend_q
+    sigma = _POOLING_MEASURES[measure]
+    q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
+    groups, m = series._tail_groups(q, sigma), sigma.total_mass()
+    calls = []
+    inverse = LayeredQ.series_magnitude
+    for n, T in ((7, 1.0), (300, 1.5), (20000, 0.7)):
+        ref = T * sigma.integrate(lambda xi: q.radial_moment(
+            1, q.series_magnitude(n / T, m, xi), 1.0, xi), 1)
+        monkeypatch.setattr(LayeredQ, "series_magnitude",
+                            lambda *a: calls.append(a) or inverse(*a))
+        got = _centering_sum(q, sigma, n, T, groups)
+        monkeypatch.undo()
+        assert got.tobytes() == ref.tobytes()
+        assert len(calls) == _POOLED_CALLS[q_name][measure]
+        calls.clear()
+
+
 @settings(max_examples=40, deadline=None)
 @given(parts=st.lists(st.lists(st.floats(-14.0, 11.0), max_size=25), min_size=1, max_size=4),
        q_name=st.sampled_from(["blend", "q_dir"]))
