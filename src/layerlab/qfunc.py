@@ -148,10 +148,13 @@ class LayeredQ:
         behaves like r^(e-1), e = k - alpha below 1 and k - beta above.  The
         canonical q has a closed form there.  A custom q is integrated in v =
         r^e (t = log r at e = 0), where the integrand is bounded, and raises
-        QuadratureError when a quadrature fails its check.  A divergent
-        integral raises ValueError: lo = 0 with k <= alpha, or hi = inf with
-        k >= beta.
+        QuadratureError when a quadrature fails its check; both raise it on a
+        float overflow.  A NaN or negative bound raises ValueError, as does a
+        divergent integral (lo = 0 with k <= alpha, hi = inf with k >= beta);
+        a reversed range reads 0.0.
         """
+        if not (lo >= 0.0 and hi >= 0.0):         # NaN fails too
+            raise ValueError(f"radial moment needs bounds >= 0, got [{lo}, {hi}]")
         if lo == 0.0 and k <= self.alpha:
             raise ValueError(f"int_0 r^{k} q dr diverges for alpha = {self.alpha}")
         if hi == np.inf and k >= self.beta:
@@ -162,11 +165,15 @@ class LayeredQ:
             if not a < b:
                 continue
             e = k - index
-            if self.is_canonical:
-                # r^(k - index - 1); 0**e and inf**e are 0.0 on a convergent piece
-                total += np.log(b / a) if e == 0.0 else (b ** e - a ** e) / e
-            else:
-                total += self._custom_moment(k, e, a, b, xi, inner)
+            try:
+                if self.is_canonical:
+                    # r^(k - index - 1); 0**e and inf**e are 0.0 on a convergent piece
+                    total += np.log(b / a) if e == 0.0 else (b ** e - a ** e) / e
+                else:
+                    total += self._custom_moment(k, e, a, b, xi, inner)
+            except OverflowError as exc:          # Python-float ** near r = 0
+                raise QuadratureError(f"radial moment of order {k} on [{lo:g}, {hi:g}] "
+                                      f"overflows a float ({exc.args[-1]})") from exc
         return total
 
     def _custom_moment(self, k: float, e: float, a: float, b: float, xi,
@@ -210,11 +217,7 @@ class LayeredQ:
         inf, xi), for r > 0."""
         if not r > 0.0:                   # NaN fails too
             raise ValueError(f"tail integral needs r > 0, got {r}")
-        try:
-            return self.radial_moment(0, r, np.inf, xi)
-        except OverflowError as exc:      # a Python-float q_fn near r = 0
-            raise QuadratureError(f"tail integral at r = {r:g}: q overflows a float "
-                                  f"({exc.args[-1]})") from exc
+        return self.radial_moment(0, r, np.inf, xi)
 
     def inverse_tail(self, u, xi=None):
         """Generalized inverse of r -> tail_scale * Q(r, xi) at level u.

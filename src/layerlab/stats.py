@@ -23,6 +23,8 @@ GRID_AXIS_POINTS = 21     # per axis of the default frequency grid
 MAX_PHASE_VALUES = 1e7    # samples x frequencies in cf_distance, ~0.4 GB of temporaries
 HILL_RESAMPLES = 200      # bootstrap resamples in hill_ci
 HILL_LEVEL = 0.95         # coverage of hill_ci's interval
+# (sin x - x)/x^3 = sum_k c_k x^(2k), highest order first: to 2e-16 where |x| < 0.5
+_SIN_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 3) for k in range(6, -1, -1))
 
 
 def _as_frequencies(Y, d: int) -> np.ndarray:
@@ -112,28 +114,34 @@ class GaussianCF:
 def _inner_exponent(q: LayeredQ, a: float, xi) -> complex:
     """int_0^1 (e^{iar} - 1 - iar) q(r) dr.
 
-    Near 0 the factors (cos(ar)-1) ~ -a^2 r^2/2 and q(r) ~ r^{-alpha-1}
-    underflow/overflow in isolation, so the region [0, r1] is summed by the
-    Taylor expansion in (ar) (moments are well conditioned), and [r1, 1] by
-    direct quadrature.
+    With q = g(r) r^{-alpha-1}, g(0) = c1, the real part -(a^2/2) int sinc^2(ar/2)
+    g r^{1-alpha} dr and the imaginary part a^3 int s(ar) g r^{2-alpha} dr,
+    s(x) = (sin x - x)/x^3, are QUADPACK QAWS quadratures in u = r^(1/3): the
+    weight takes the power of r at 0 for every q, and in r the bisection fell
+    into step with the period of e^{iar} at some |a| above 1e3.
     """
-    if a == 0.0:
-        return 0.0
-    r1 = min(1e-2, 0.1 / max(abs(a), 1.0))
-    # successive terms shrink by (a r1)^2 / ((2k+1)(2k+2)) <= 1e-2 / 42
-    m = {k: q.radial_moment(k, 0.0, r1, xi) for k in range(2, 7)}
-    re = -a ** 2 / 2.0 * m[2] + a ** 4 / 24.0 * m[4] - a ** 6 / 720.0 * m[6]
-    im = -a ** 3 / 6.0 * m[3] + a ** 5 / 120.0 * m[5]
-    dens = q.density(xi)
-    re_q, re_err = integrate.quad(
-        lambda r: (math.cos(a * r) - 1.0) * dens(r), r1, 1.0,
-        epsabs=1e-10, epsrel=1e-10, limit=300)
-    im_q, im_err = integrate.quad(
-        lambda r: (math.sin(a * r) - a * r) * dens(r), r1, 1.0,
-        epsabs=1e-10, epsrel=1e-10, limit=300)
-    if re_err > 1e-8 * max(1.0, abs(re_q)) or im_err > 1e-8 * max(1.0, abs(im_q)):
-        raise QuadratureError("inner CF quadrature did not converge")
-    return complex(re + re_q, im + im_q)
+    dens, c1, p = q.density(xi), q.c1(xi), q.alpha + 1.0
+    sinc2 = lambda x: (math.sin(0.5 * x) / (0.5 * x)) ** 2 if x else 1.0
+
+    def s(x):
+        if abs(x) >= 0.5:
+            return (math.sin(x) - x) / x ** 3
+        acc, x2 = 0.0, x * x
+        for c in _SIN_SERIES:
+            acc = acc * x2 + c
+        return acc
+
+    parts = []
+    # r = u^3 turns r^k dr into 3 u^(3k+2) du; both integrands keep one sign
+    for kernel, k, scale in ((sinc2, 1.0 - q.alpha, -1.5 * a * a),
+                             (s, 2.0 - q.alpha, 3.0 * a ** 3)):
+        f = lambda u: kernel(a * (r := u * u * u)) * (dens(r) * r ** p if r else c1)
+        val, err = integrate.quad(f, 0.0, 1.0, weight="alg", wvar=(3.0 * k + 2.0, 0.0),
+                                  epsabs=0.0, epsrel=1e-10, limit=1000)
+        if abs(scale) * err > 1e-8 * max(1.0, abs(scale * val)):
+            raise QuadratureError("inner CF quadrature did not converge")
+        parts.append(scale * val)
+    return complex(*parts)
 
 
 def _outer_exponent(q: LayeredQ, a: float, xi) -> complex:

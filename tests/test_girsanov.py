@@ -106,6 +106,19 @@ def test_required_drift_null_sigma1(skew1):
     np.testing.assert_allclose(required_drift_difference(q, skew1), [ref], rtol=1e-9)
 
 
+def test_required_drift_against_mpmath(skew1):
+    # blend_q(1.3, 1.9): c1 = 1, so k0 - k1 = (int xi sigma) (1/(alpha - 1) +
+    # int_0^1 r^-alpha ((1 + r)^(alpha - beta) - 1) dr), with int xi sigma = 1;
+    # the per-atom correction is -0.669456445864234
+    import mpmath
+    with mpmath.workdps(30):
+        al, be = mpmath.mpf(1.3), mpmath.mpf(1.9)
+        corr = mpmath.quad(lambda r: r ** -al * ((1 + r) ** (al - be) - 1), [0, 1])
+        ref = float(1 / (al - 1) + corr)
+    got = required_drift_difference(blend_q(1.3, 1.9), skew1)
+    assert abs(got[0] - ref) <= 1e-10 * abs(ref)
+
+
 @pytest.mark.parametrize("result", [(float("nan"), 0.0), (1.0, 1.0)])
 def test_required_drift_correction_failure_is_a_quadrature_error(result, skew1, monkeypatch):
     # a NaN value or a large error estimate from the correction's quadrature

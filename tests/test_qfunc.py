@@ -208,10 +208,12 @@ def test_table_inverse_beyond_table_ends():
 def test_inverse_tail_overflow_is_a_quadrature_error():
     # a level far above the table sends the Brent search to radii where
     # blend_q's Python-float ** overflows inside tail_integral's quadrature:
-    # a QuadratureError that names the radius, not a bare OverflowError
+    # a QuadratureError that names the order and the range, not a bare
+    # OverflowError
     from layerlab import QuadratureError
     q = blend_q(1.3, 1.9)
-    with pytest.raises(QuadratureError, match=r"^tail integral at r = \S+e-\d+: q overflows"):
+    with pytest.raises(QuadratureError,
+                       match=r"^radial moment of order 0 on \[\S+e-\d+, inf\] overflows"):
         q.inverse_tail(1e200)
     assert abs(q.tail_integral(q.inverse_tail(1e12)) - 1e12) <= 1e-10 * 1e12
 
@@ -381,3 +383,29 @@ def test_radial_moment_divergence_raises():
             variant.radial_moment(1.5, 0.0, 0.5)
         with pytest.raises(ValueError, match="diverges"):
             variant.radial_moment(2.5, 1.0, np.inf)   # k >= beta at infinity
+
+
+def test_radial_moment_refuses_a_nan_or_negative_bound():
+    # a NaN bound failed every piece's a < b and read 0.0; a reversed range
+    # still reads 0.0, as the compensated sampler's shift needs
+    q = LayeredQ.canonical(1.3, 1.9, 2.0)
+    for variant in (q, blend_q(1.3, 1.9)):
+        for k, lo, hi in ((0, np.nan, 1.0), (2, 0.0, np.nan), (1, np.nan, 1.0),
+                          (1, -0.5, 1.0), (2, 0.0, -1.0)):
+            with pytest.raises(ValueError, match="bounds >= 0"):
+                variant.radial_moment(k, lo, hi)
+        assert variant.radial_moment(1, 2.0, 0.5) == 0.0
+        assert variant.radial_moment(1, 1.0, 1.0) == 0.0
+
+
+def test_radial_moment_overflow_is_a_quadrature_error(skew1):
+    # blend_q's Python-float ** overflows near r = 0: every moment entry
+    # raises a QuadratureError naming the order and the range
+    from layerlab import QuadratureError
+    from layerlab.qfunc import jump_mean
+    q = blend_q(1.3, 1.9)
+    pattern = r"^radial moment of order 1 on \[1e-300, 1\] overflows"
+    with pytest.raises(QuadratureError, match=pattern):
+        q.radial_moment(1, 1e-300, 1.0)
+    with pytest.raises(QuadratureError, match=pattern):
+        jump_mean(q, skew1, 1e-300, 1.0)

@@ -120,6 +120,54 @@ def test_layered_cf_against_mpmath():
         assert abs(got - expect) < 1e-6
 
 
+def _mp_inner_series(alpha, a):
+    # int_0^1 (e^{iar} - 1 - iar) r^{-alpha-1} dr = sum_{k>=2} (ia)^k / (k! (k -
+    # alpha)) at 60 digits: at |a| = 60 the terms reach 1e25 before they cancel
+    with mpmath.workdps(60):
+        z, al = mpmath.mpc(0, a), mpmath.mpf(alpha)
+        term, total, k = z, mpmath.mpc(0), 1
+        while k < 2 * abs(a) + 60:
+            k += 1
+            term = term * z / k
+            total += term / (k - al)
+        return complex(total)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.1, 1.3, 1.9, 1.99])
+def test_inner_exponent_against_the_series(alpha):
+    # the canonical q and the same density as a custom q, on a log grid of
+    # |a| over [1e-8, 60]
+    from layerlab.stats import _inner_exponent
+    q = LayeredQ.canonical(alpha, 1.7, 1.0)
+    custom = LayeredQ.custom(alpha, 1.7,
+                             lambda r, xi: r ** (-alpha - 1.0) if r <= 1.0 else r ** -2.7,
+                             lambda xi: 1.0, lambda xi: 1.0)
+    for a in np.logspace(-8.0, np.log10(60.0), 25).tolist():
+        ref = _mp_inner_series(alpha, a)
+        for variant in (q, custom):
+            assert abs(_inner_exponent(variant, a, None) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.99])
+def test_inner_exponent_converges_at_high_frequency(alpha):
+    # the first 26 points of a 40-point log grid over [60, 3e4], up to
+    # |a| = 3223: in r, QAWS stopped on its roundoff test at |a| = 1056
+    from layerlab.stats import _inner_exponent
+    q = LayeredQ.canonical(alpha, 1.7, 1.0)
+    for a in np.logspace(np.log10(60.0), np.log10(3e4), 40)[:26].tolist():
+        assert np.isfinite(_inner_exponent(q, a, None))
+
+
+def test_layered_cf_of_a_steep_blend(sym1):
+    # blend_q(1.99, 1.7) overflowed a Python float in the small-jump
+    # integral at every frequency; on the symmetric pair its CF is real
+    cf = LayeredQuadratureCF(blend_q(1.99, 1.7), sym1)
+    Y = default_y_grid(1)
+    psi = cf.exponent(Y)
+    assert np.all(np.isfinite(psi)) and np.all(np.abs(psi.imag) < 1e-10)
+    assert np.all(psi.real[Y[:, 0] != 0.0] < 0.0)
+
+
 def test_outer_exponent_at_small_frequency():
     # for beta in (1,2) the outer exponent is i a m1 + O(|a|^beta) as a -> 0,
     # m1 = 1/(beta-1); the Fourier quadrature started at r = 1 gave -Q(1)
