@@ -149,10 +149,12 @@ class LayeredQ:
         canonical q has a closed form there.  A custom q is integrated in v =
         r^e (t = log r at e = 0), where the integrand is bounded, and raises
         QuadratureError when a quadrature fails its check; both raise it on a
-        float overflow.  A NaN or negative bound raises ValueError, as does a
-        divergent integral (lo = 0 with k <= alpha, hi = inf with k >= beta);
-        a reversed range reads 0.0.
+        float overflow.  A non-finite order or a NaN or negative bound raises
+        ValueError, as does a divergent integral (lo = 0 with k <= alpha, hi =
+        inf with k >= beta); a reversed range reads 0.0.
         """
+        if not math.isfinite(k):
+            raise ValueError(f"radial moment needs a finite order, got {k}")
         if not (lo >= 0.0 and hi >= 0.0):         # NaN fails too
             raise ValueError(f"radial moment needs bounds >= 0, got [{lo}, {hi}]")
         if lo == 0.0 and k <= self.alpha:
@@ -368,6 +370,19 @@ class LayeredQ:
             return self.inverse_tail(u, xi)
         return canonical_magnitudes(self.alpha, self.beta, _positive_levels(u),
                                     self.sigma_mass, 1.0)
+
+
+def _tail_groups(q: LayeredQ, sigma) -> list:
+    """The one rule for which atoms of sigma share a tail under q: groups by
+    q.same_tail (one for a canonical q), as (representative, member indices) in
+    order of first appearance.  A uniform sigma reads q at xi = None: (None, [])."""
+    if sigma.is_uniform:
+        return [(None, [])]
+    groups = {}         # the representative's index -> member indices
+    for i, atom in enumerate(sigma.atoms):
+        rep = next((r for r in groups if q.same_tail(sigma.atoms[r], atom)), i)
+        groups.setdefault(rep, []).append(i)
+    return [(sigma.atoms[r], members) for r, members in groups.items()]
 
 
 def _positive_levels(u):

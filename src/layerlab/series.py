@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import EULER_GAMMA, zeta
-from .qfunc import LayeredQ, canonical_magnitudes, stable_magnitudes
+from .qfunc import LayeredQ, _tail_groups, canonical_magnitudes, stable_magnitudes
 from .spherical import SphericalMeasure
 
 _MAG_FLOOR = 1e-300     # drop denormal magnitudes outright
@@ -309,29 +309,13 @@ def _centering_sum(q: LayeredQ, sigma: SphericalMeasure, n: int, T: float,
     for rep, members in groups or _tail_groups(q, sigma):
         if members:
             value = q.radial_moment(1, q.series_magnitude(n / T, m, rep), 1.0, rep)
-            moment.update((atom.tobytes(), value) for atom in members)
+            moment.update((sigma.atoms[i].tobytes(), value) for i in members)
     return T * sigma.integrate(lambda xi: moment[xi.tobytes()], 1)
-
-
-def _tail_groups(q: LayeredQ, sigma: SphericalMeasure) -> list:
-    # the atoms of a discrete sigma grouped by q.same_tail, as (representative,
-    # members) in order of first appearance; on a uniform sigma q is read at
-    # xi = None (a direction-free q, as SphericalMeasure.integrate takes it)
-    if sigma.is_uniform:
-        return [(None, [])]
-    groups = []
-    for atom in sigma.atoms:
-        group = next((g for g in groups if q.same_tail(g[0], atom)), None)
-        if group is None:
-            groups.append((atom, [atom]))
-        else:
-            group[1].append(atom)
-    return groups
 
 
 def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure, groups: list,
                        draw: ShotNoiseDraw) -> np.ndarray:
-    # one array inverse per group of atoms whose tail tables agree, on the
+    # one array inverse per tail group (qfunc._tail_groups), on the
     # representative's table (one inverse in all on a uniform measure).  The
     # inverse is entrywise, so each jump gets the bytes its own atom's
     # inverse would give it
@@ -340,9 +324,9 @@ def _custom_magnitudes(q: LayeredQ, sigma: SphericalMeasure, groups: list,
         return q.series_magnitude(levels, m, None)
     mags = np.full_like(levels, np.nan)
     for rep, members in groups:
-        on = np.all(draw.directions == members[0], axis=1)
-        for atom in members[1:]:
-            on |= np.all(draw.directions == atom, axis=1)
+        on = np.zeros(len(levels), dtype=bool)
+        for i in members:
+            on |= np.all(draw.directions == sigma.atoms[i], axis=1)
         if np.any(on):
             mags[on] = q.series_magnitude(levels[on], m, rep)
     if np.isnan(mags).any():
@@ -401,15 +385,16 @@ def stable_law(alpha: float, sigma: SphericalMeasure) -> SeriesLaw:
 
 def layered_law(q: LayeredQ, sigma: SphericalMeasure) -> SeriesLaw:
     # canonical q: closed-form magnitudes; custom q: tabled inverse tail, one
-    # inversion a draw per group of atoms whose tail tables agree byte for
-    # byte (one group for a direction-free q).  Both center unless sigma is
-    # symmetric and q the same at each atom and its antipode, as for a
-    # canonical q, or any q on a uniform sigma (xi = None)
+    # inversion a draw per tail group (qfunc._tail_groups: one group for a
+    # direction-free q).  Both center unless sigma is symmetric and each atom
+    # in its antipode's group, as for a canonical q, or any q on a uniform
+    # sigma (xi = None)
     m = sigma.total_mass()
     groups = _tail_groups(q, sigma)
+    group = {i: g for g, (_, members) in enumerate(groups) for i in members}
     pairs = sigma.antipodes
     centered = not sigma.is_symmetric() or (pairs is not None and not all(
-        q.same_tail(a, sigma.atoms[j]) for a, j in zip(sigma.atoms, pairs)))
+        group[i] == group[j] for i, j in enumerate(pairs)))
 
     def jumps(draw):
         mags = (canonical_magnitudes(q.alpha, q.beta, draw.gammas, m, draw.T)

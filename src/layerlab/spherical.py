@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import special
 
-_NORM_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12     # mass gap is_symmetric allows a direction and its antipode
 _SAME_DIRECTION = 1.0 - 1e-10   # least inner product of two atoms of one direction
 
@@ -64,14 +63,16 @@ class SphericalMeasure:
                 raise ValueError("weights must be strictly positive with a finite total")
             if not np.all(np.isfinite(atoms)):
                 raise ValueError("atom components must be finite")
-            norms = np.linalg.norm(atoms, axis=1)
-            if np.any(norms == 0):
+            big = np.max(np.abs(atoms), axis=1)
+            if np.any(big == 0):
                 raise ValueError("zero vector is not a direction")
-            atoms = atoms / norms[:, None]
-            if self.dimension == 1 and not np.all(np.isin(atoms.ravel(), (-1.0, 1.0))):
-                raise ValueError("for d=1 the only directions are +1 and -1")
-            if np.any(np.abs(np.linalg.norm(atoms, axis=1) - 1.0) > _NORM_TOL):
-                raise ValueError("atom directions must be unit vectors")
+            # a row whose sum of squares leaves the normal floats is divided by its
+            # largest |component| first; every d = 1 atom then reads exactly +1 or -1
+            with np.errstate(over="ignore"):
+                ss = np.sum(atoms * atoms, axis=1)
+            scale = np.where((ss >= np.finfo(float).tiny) & (ss < np.inf), 1.0, big)
+            atoms = atoms / scale[:, None]
+            atoms = atoms / np.linalg.norm(atoms, axis=1)[:, None]
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", weights)
             cum = np.cumsum(weights)
@@ -148,18 +149,18 @@ class SphericalMeasure:
     def project(self, Y: np.ndarray, nodes: int):
         """Pairs (a, w) with int f(<y_j, xi>) sigma(dxi) = sum_k w_k f(a_jk).
 
-        Returns (a, w, atoms), a of shape (n, K) for the rows y_j of Y.  A
-        discrete measure gives a = Y @ atoms', its weights and its atoms.  A
-        uniform one gives a_jk = |y_j| u_k and w = mass w_k at the `nodes`
-        Gauss-Jacobi nodes u_k of <e, xi>, cached read-only per (d, nodes),
-        and no atoms (None): as in integrate, its integrands are direction-free.
+        a is of shape (n, K) for the rows y_j of Y.  A discrete measure gives
+        a = Y @ atoms' and its weights, column k for atom k.  A uniform one
+        gives a_jk = |y_j| u_k and w = mass w_k at the `nodes` Gauss-Jacobi
+        nodes u_k of <e, xi>, cached read-only per (d, nodes): as in
+        integrate, its integrands are direction-free.
         """
         if self.is_uniform:
             u, w = _uniform_marginal_nodes(self.dimension, nodes)
-            return np.sqrt(np.sum(Y * Y, axis=1))[:, None] * u, self.uniform_mass * w, None
+            return np.sqrt(np.sum(Y * Y, axis=1))[:, None] * u, self.uniform_mass * w
         # one product per row, rounded as for a single y: at <y, xi> ~ 0 the
         # rounding shows in |a|^alpha with alpha < 1
-        return (Y[:, None, :] @ self.atoms.T)[:, 0], self.weights, self.atoms
+        return (Y[:, None, :] @ self.atoms.T)[:, 0], self.weights
 
     def _check_matrix_dimension(self) -> None:
         if self.dimension > MAX_MATRIX_DIMENSION:

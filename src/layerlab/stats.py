@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from ._special import EULER_GAMMA, isotropic_cf_constant, stable_cf_constant
-from .qfunc import LayeredQ, QuadratureError
+from .qfunc import LayeredQ, QuadratureError, _tail_groups
 from .spherical import SphericalMeasure
 
 GRID_AXIS_POINTS = 21     # per axis of the default frequency grid
@@ -66,7 +66,7 @@ class StableCF:
 
     def exponent(self, Y) -> np.ndarray:
         Y = _as_frequencies(Y, self.sigma.dimension)
-        a, w, _ = self.sigma.project(Y, 96)
+        a, w = self.sigma.project(Y, 96)
         re = np.abs(a)
         if self.alpha == 1.0:
             tau = self.eta - (1.0 - EULER_GAMMA) * self.sigma.first_moment()
@@ -177,16 +177,20 @@ def _outer_exponent(q: LayeredQ, a: float, xi) -> complex:
 
 
 class LayeredQuadratureCF:
-    """Levy-Khintchine CF of a layered measure by adaptive radial quadrature, once
-    per distinct (|a|, xi), as f(-a, xi) = conj f(a, xi); a canonical q ignores xi."""
+    """Levy-Khintchine CF of a layered measure by adaptive radial quadrature, once per
+    distinct (|a|, tail group of qfunc._tail_groups), as f(-a, xi) = conj f(a, xi)."""
 
     def __init__(self, q: LayeredQ, sigma: SphericalMeasure):
         self.q = q
         self.sigma = sigma
         self._cache: dict[tuple, complex] = {}
+        # column k of sigma.project -> (its tail group, the group's representative,
+        # at which q is read); a uniform sigma has no atoms: group 0 at xi = None
+        self._tails = {k: (g, rep) for g, (rep, members) in enumerate(_tail_groups(q, sigma))
+                       for k in members}
 
-    def _atom_exponent(self, a: float, xi) -> complex:
-        key = (round(abs(a), 14), None if xi is None else tuple(np.round(xi, 14)))
+    def _atom_exponent(self, a: float, group: int, xi) -> complex:
+        key = (round(abs(a), 14), group)
         if key not in self._cache:
             self._cache[key] = (_inner_exponent(self.q, abs(a), xi)
                                 + _outer_exponent(self.q, abs(a), xi))
@@ -194,9 +198,9 @@ class LayeredQuadratureCF:
 
     def exponent(self, Y) -> np.ndarray:
         Y = _as_frequencies(Y, self.sigma.dimension)
-        a, w, atoms = self.sigma.project(Y, 48)
-        xis = [None] * a.shape[1] if atoms is None or self.q.is_canonical else list(atoms)
-        psi = [[self._atom_exponent(x, xi) for x, xi in zip(row, xis)] for row in a.tolist()]
+        a, w = self.sigma.project(Y, 48)
+        tails = [self._tails.get(k, (0, None)) for k in range(a.shape[1])]
+        psi = [[self._atom_exponent(x, *t) for x, t in zip(row, tails)] for row in a.tolist()]
         return np.array(psi, dtype=complex) @ w
 
     def __call__(self, y) -> complex:

@@ -727,3 +727,67 @@ def test_selftest_corrupt_zeta_fails(monkeypatch, capsys):
     assert "FAIL" in line
     # the corruption must not leak into the process
     assert abs(zeta(1.0 / 1.5) - (-2.4475807362336582)) < 1e-12
+
+
+def test_limit_check_gaussian_long_limit_to_stdout(capsys):
+    # beta > 2: the long-time limit is the Gaussian of gaussian_covariance,
+    # read with index 2; without --out the report is printed to stdout
+    from layerlab import (GaussianCF, LayeredQ, cf_distance, gaussian_covariance,
+                          limit_target_and_samples, parse_spherical_spec)
+    spec_text = "discrete:[(1):0.5,(-1):0.5]"
+    code = run("limit-check", "--mode", "long", "--alpha", "1.1", "--beta", "2.5",
+               "--h", "1e3", "--sigma", spec_text, "--paths", "2000", "--seed", "3")
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and report["pass"] and report["index"] == 2.0
+    sigma = parse_spherical_spec(spec_text)
+    target, x, spec = limit_target_and_samples(1.1, 2.5, sigma, "long", 1e3, 2000, 3)
+    assert isinstance(target, GaussianCF) and spec.index == 2.0
+    cov = gaussian_covariance(LayeredQ.canonical(1.1, 2.5, 1.0), sigma)
+    assert target.cov.tobytes() == np.atleast_2d(cov).tobytes()
+    assert report["distance"] == cf_distance(x, target)
+
+
+def test_config_line_without_equals_exit_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha = 1.3\n# a comment\nbeta 1.9\n")
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "run")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {cfg}:3: expected 'key = value'\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_coupled_companion_must_be_stable(tmp_path, capsys):
+    assert run("simulate", "--alpha", "1.3", "--beta", "1.9", "--grid-n", "4",
+               "--gamma-cap", "20", "--coupled", "layered:1.3",
+               "--out", str(tmp_path / "run")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: coupled companions must be stable:<alpha>\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_selftest_check_that_raises_fails(monkeypatch, capsys):
+    # a check that raises prints an error row and fails the run; the checks
+    # after it still run
+    import layerlab.cli as cli
+
+    def broken():
+        raise RuntimeError("no such constant")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [
+        ("broken", broken), ("fine", lambda: (0.5, 1.0, "a passing check"))])
+    assert run("selftest") == EXIT_CHECK_FAILED
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0].split() == ["broken", "error", "FAIL", "(no", "such", "constant)"]
+    assert rows[1].split() == ["fine", "0.5", "1", "ok"]
+
+
+def test_simulate_atom_of_extreme_magnitude(tmp_path):
+    # an atom at 1e200 is the direction +1: its square overflowed and the
+    # run exited 2 with a RuntimeWarning; it now writes the bytes of (1)
+    import warnings
+    argv = ["simulate", "--process", "stable", "--alpha", "1.5", "--grid-n", "20",
+            "--gamma-cap", "200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--sigma", "discrete:[(1e200):1,(-1):1]",
+                   "--out", str(tmp_path / "far")) == EXIT_OK
+    assert run(*argv, "--out", str(tmp_path / "unit")) == EXIT_OK
+    assert (tmp_path / "far.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()

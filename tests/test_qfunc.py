@@ -398,6 +398,15 @@ def test_radial_moment_refuses_a_nan_or_negative_bound():
         assert variant.radial_moment(1, 1.0, 1.0) == 0.0
 
 
+def test_radial_moment_refuses_a_non_finite_order():
+    # the canonical closed form read nan at k = nan and 0.0 at k = inf, where
+    # a custom q raised QuadratureError
+    for variant in (LayeredQ.canonical(1.3, 1.9, 2.0), blend_q(1.3, 1.9)):
+        for k in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^radial moment needs a finite order, got "):
+                variant.radial_moment(k, 0.1, 1.0)
+
+
 def test_radial_moment_overflow_is_a_quadrature_error(skew1):
     # blend_q's Python-float ** overflows near r = 0: every moment entry
     # raises a QuadratureError naming the order and the range

@@ -44,3 +44,19 @@ def test_marginals_script(tmp_path):
         "marginal_a1.1_b2.5.csv", "marginal_a1.3_b1.9.csv", "marginal_a1.9_b1.3.csv"]
     lines = (out / "marginal_a1.3_b1.9.csv").read_text().strip().split("\n")
     assert lines[0].endswith("stable_err") and len(lines) == 82
+
+
+def test_identity_check_script(tmp_path):
+    # two runs print the same fingerprints, and every sampler's outputs at 1
+    # and 2 threads hash alike
+    first, second = (run_script("identity_check.py", cwd=tmp_path) for _ in range(2))
+    assert first.returncode == 0 and second.returncode == 0, first.stderr + second.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) > 800 and first.stdout == second.stdout
+    assert not any(l.startswith("oracle") and "refused" in l for l in lines)
+    by_threads = {}
+    for line in lines:
+        name, _, digest = line.rpartition(" ")
+        if "threads=" in name:
+            by_threads.setdefault(name.split(" threads=")[0], set()).add(digest)
+    assert len(by_threads) > 50 and all(len(v) == 1 for v in by_threads.values())

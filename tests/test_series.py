@@ -14,6 +14,7 @@ from layerlab import (LayeredQ, MixDistribution, ShotNoiseDraw,
                       stable_drift_constant, stable_law, stable_path,
                       u_series)
 from layerlab import series
+from layerlab.qfunc import _tail_groups
 from layerlab.series import (_MAG_FLOOR, MAX_ARRIVALS, MAX_GRID_VALUES, _assemble,
                              _centering_sum, _grid_cells)
 
@@ -418,7 +419,7 @@ def test_custom_magnitudes_pool_atoms_with_one_tail(q_name, measure, monkeypatch
     sigma = _POOLING_MEASURES[measure]
     q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
     law, m = layered_law(q, sigma), sigma.total_mass()
-    groups = series._tail_groups(q, sigma)
+    groups = _tail_groups(q, sigma)
     calls = []
     inverse = LayeredQ.series_magnitude
     for seed, cap in ((2301, 40.0), (2302, 1e3)):
@@ -445,7 +446,7 @@ def test_centering_worked_out_once_per_tail(q_name, measure, monkeypatch):
     from layerlab import blend_q
     sigma = _POOLING_MEASURES[measure]
     q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
-    groups, m = series._tail_groups(q, sigma), sigma.total_mass()
+    groups, m = _tail_groups(q, sigma), sigma.total_mass()
     calls = []
     inverse = LayeredQ.series_magnitude
     for n, T in ((7, 1.0), (300, 1.5), (20000, 0.7)):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layerlab import SphericalMeasure, parse_spherical_spec
@@ -55,6 +55,42 @@ def test_atoms_are_normalized():
     np.testing.assert_allclose(s.atoms, [[0.6, 0.8]])
     with pytest.raises(ValueError):
         SphericalMeasure.discrete(np.array([[0.0, 0.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("atoms, unit", [
+    ([[1e200]], [[1.0]]), ([[-1e-200]], [[-1.0]]), ([[1e200, 1e200]], [[1.0, 1.0]]),
+    ([[3e-160, -4e-160]], [[0.6, -0.8]]),
+    ([[5e-324, 0.0], [0.0, -1e308]], [[1.0, 0.0], [0.0, -1.0]])])
+def test_atoms_of_extreme_magnitude_are_normalized(atoms, unit):
+    # squaring such a row under- or overflows, so it is scaled by its largest
+    # |component| before it is normalized: the measure is that of its
+    # directions, and a d = 1 atom is exactly +1 or -1
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = SphericalMeasure.discrete(atoms, np.ones(len(atoms)))
+    ref = SphericalMeasure.discrete(unit, np.ones(len(unit)))
+    assert s.atoms.tobytes() == ref.atoms.tobytes()
+    for zero in ([[0.0]], [[0.0, -0.0]]):
+        with pytest.raises(ValueError, match="zero vector is not a direction"):
+            SphericalMeasure.discrete(zero, [1.0])
+    for bad in ([[np.inf]], [[1e200, np.nan]]):
+        with pytest.raises(ValueError, match="atom components must be finite"):
+            SphericalMeasure.discrete(bad, [1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+                     min_size=1, max_size=4),
+       d=st.integers(1, 3))
+def test_atoms_of_normal_magnitude_keep_their_bytes(rows, d):
+    # a row whose sum of squares is a normal float is divided by its
+    # np.linalg.norm, to the byte
+    atoms = np.array(rows)[:, :d]
+    norms = np.linalg.norm(atoms, axis=1)
+    assume(np.all(np.sum(atoms * atoms, axis=1) >= np.finfo(float).tiny))
+    s = SphericalMeasure.discrete(atoms, np.ones(len(atoms)))
+    assert s.atoms.tobytes() == (atoms / norms[:, None]).tobytes()
 
 
 def test_weights_must_be_positive():
@@ -224,8 +260,7 @@ def test_uniform_nodes_are_cached_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     sigma = SphericalMeasure.uniform(2, 3.0)
-    a, weights, atoms = sigma.project(np.array([[3.0, 4.0], [0.0, 0.0]]), 48)
+    a, weights = sigma.project(np.array([[3.0, 4.0], [0.0, 0.0]]), 48)
     np.testing.assert_array_equal(a, np.stack([5.0 * u, 0.0 * u]))
     np.testing.assert_array_equal(weights, 3.0 * w)
-    assert atoms is None
     assert _uniform_marginal_nodes(2, 48)[0] is u

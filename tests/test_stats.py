@@ -352,6 +352,39 @@ def test_quadrature_cf_integrates_each_distinct_modulus_once(sym1, monkeypatch):
     assert len(calls) == 11
 
 
+def _q_dir():
+    # c(xi) = 1 + xi_1 / 2 weighs xi and -xi differently
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    return LayeredQ.custom(1.5, 0.8, lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                           c_dir, lambda xi: 1.0)
+
+
+@pytest.mark.parametrize("q_name, measure, count", [("blend", "symmetric", 11),
+                                                    ("blend", "3 atoms d=2", 33),
+                                                    ("q_dir", "symmetric", 22)])
+def test_quadrature_cf_integrates_once_per_tail_group(q_name, measure, count, monkeypatch):
+    # atoms whose tails agree (qfunc._tail_groups) share each |a|: a
+    # direction-free custom q is integrated once per distinct |a|, as a
+    # canonical q is, and q_dir once per |a| and direction; the exponent
+    # is the sum of the one-atom oracles either way
+    from layerlab import stats
+    sigma = {"symmetric": SphericalMeasure.symmetric_pair(2.0),
+             "3 atoms d=2": SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
+                                                      [1.0, 0.6, 0.4])}[measure]
+    q = blend_q(1.3, 1.9) if q_name == "blend" else _q_dir()
+    Y = default_y_grid(sigma.dimension, n=21 if sigma.dimension == 1 else 11)
+    calls = []
+    inner = stats._inner_exponent
+    monkeypatch.setattr(stats, "_inner_exponent",
+                        lambda q, a, xi: calls.append(a) or inner(q, a, xi))
+    psi = LayeredQuadratureCF(q, sigma).exponent(Y)
+    assert len(calls) == count
+    monkeypatch.undo()
+    ref = sum(LayeredQuadratureCF(q, SphericalMeasure.discrete([xi], [w])).exponent(Y)
+              for xi, w in zip(sigma.atoms, sigma.weights))
+    np.testing.assert_allclose(psi, ref, rtol=1e-14, atol=1e-15)
+
+
 def test_cf_distance_refuses_a_bad_grid():
     x = np.random.default_rng(16).standard_normal((50, 1))
     cf = GaussianCF([[1.0]])
