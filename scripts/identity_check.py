@@ -12,6 +12,8 @@ It covers the series paths, terminals (at 1 and 2 threads) and truncation
 bounds of every law on five measures, the Gaussian-compensated terminals,
 the limit constants, custom-q tail tables and inverses, and the exponents
 of the CF oracles on the default frequency grids (11 x 11 points in d = 2).
+Each custom q's tails and fixed radial pieces are hashed twice, on a q that
+earlier lines used and value by value on a fresh q: the two lines agree.
 """
 
 import hashlib
@@ -41,9 +43,13 @@ def q_dir():
                              c_dir, lambda xi: 1.0)
 
 
+CUSTOM_QS = {"blend(1.3,1.9)": lambda: L.blend_q(1.3, 1.9),
+             "blend(0.7,1.6)": lambda: L.blend_q(0.7, 1.6),
+             "blend(1.5,0.8)": lambda: L.blend_q(1.5, 0.8), "q_dir": q_dir}
+
+
 def custom_qs():
-    return {"blend(1.3,1.9)": L.blend_q(1.3, 1.9), "blend(0.7,1.6)": L.blend_q(0.7, 1.6),
-            "blend(1.5,0.8)": L.blend_q(1.5, 0.8), "q_dir": q_dir()}
+    return {name: build() for name, build in CUSTOM_QS.items()}
 
 
 def qs(sigma):
@@ -148,6 +154,15 @@ def custom_q_outputs():
             emit(f"{name} moments", lambda: tuple(
                 q.radial_moment(k, lo, hi, xi)
                 for k, lo, hi in ((1, 1e-6, 1.0), (2, 0.0, 1.0), (1, 1.0, 50.0), (0.5, 0.3, 3.0))))
+            # the same tails and every convergent moment of order 0, 1, 2 on
+            # [0, 1] and [1, oo), on the q the lines above warmed and each
+            # on a fresh q: a kept piece must read as a new one
+            pieces = [(k, lo, hi) for k in (0, 1, 2) for lo, hi in ((0.0, 1.0), (1.0, np.inf))
+                      if (lo > 0.0 or k > q.alpha) and (hi < np.inf or k < q.beta)]
+            for temp, on in (("warm", lambda: q), ("cold", CUSTOM_QS[qname])):
+                emit(f"{name} pieces {temp}", lambda: tuple(
+                    [on().tail_integral(float(r), xi) for r in radii]
+                    + [on().radial_moment(k, lo, hi, xi) for k, lo, hi in pieces]))
 
 
 def oracle_outputs():

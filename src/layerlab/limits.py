@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc, stats
-from .qfunc import LayeredQ, jump_mean, limit_mean
+from .qfunc import LayeredQ, _direction_free, jump_mean, limit_mean
 from .spherical import SphericalMeasure
 
 SHORT_STABLE = "short"
@@ -83,6 +83,7 @@ def long_time_constants(q: LayeredQ, sigma: SphericalMeasure):
 
 def gaussian_covariance(q: LayeredQ, sigma: SphericalMeasure) -> np.ndarray:
     """Covariance of the beta > 2 Brownian limit: int zz' nu(dz)."""
+    _direction_free(q, sigma)
     return sigma.integrate(lambda xi: q.radial_moment(2, 0.0, np.inf, xi), 2)
 
 

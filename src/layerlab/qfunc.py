@@ -12,7 +12,7 @@ the total mass of the accompanying spherical measure, the expected number of
 jumps of size > r on [0, T] is T * sigma_mass * Q(r).
 
 LayeredQ.radial_moment is every integral of r^k q dr: the tail Q(r) is its
-order-0 moment on (r, oo).
+order-0 moment on (r, oo); a custom q keeps [0, 1] and [1, oo) per (k, xi).
 
 The canonical inverse is the closed form canonical_magnitudes.  A custom q
 is inverted through a table built lazily once per direction xi: Q at
@@ -72,6 +72,8 @@ class LayeredQ:
     c2_fn: Callable | None = None                # xi -> limit density at oo
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)         # custom variant: xi -> _TailTable
+    _pieces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)         # custom variant: (k, inner, xi) -> float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -147,11 +149,12 @@ class LayeredQ:
         The range is split at r = 1, where the two power laws meet: r^k q
         behaves like r^(e-1), e = k - alpha below 1 and k - beta above.  The
         canonical q has a closed form there.  A custom q is integrated in v =
-        r^e (t = log r at e = 0), where the integrand is bounded, and raises
-        QuadratureError when a quadrature fails its check; both raise it on a
-        float overflow.  A non-finite order or a NaN or negative bound raises
-        ValueError, as does a divergent integral (lo = 0 with k <= alpha, hi =
-        inf with k >= beta); a reversed range reads 0.0.
+        r^e (t = log r at e = 0), where the integrand is bounded, a piece [0, 1]
+        or [1, oo) once per (k, side, xi) and kept, and raises QuadratureError
+        when a quadrature fails its check; both raise it on a float overflow.
+        A non-finite order or a NaN or negative bound raises ValueError, as
+        does a divergent integral (lo = 0 with k <= alpha, hi = inf with k >=
+        beta); a reversed range reads 0.0.
         """
         if not math.isfinite(k):
             raise ValueError(f"radial moment needs a finite order, got {k}")
@@ -171,6 +174,11 @@ class LayeredQ:
                 if self.is_canonical:
                     # r^(k - index - 1); 0**e and inf**e are 0.0 on a convergent piece
                     total += np.log(b / a) if e == 0.0 else (b ** e - a ** e) / e
+                elif (a, b) in ((0.0, 1.0), (1.0, np.inf)):    # integrated once, kept
+                    key = (k, inner, _xi_key(xi))
+                    if key not in self._pieces:
+                        self._pieces[key] = self._custom_moment(k, e, a, b, xi, inner)
+                    total += self._pieces[key]
                 else:
                     total += self._custom_moment(k, e, a, b, xi, inner)
             except OverflowError as exc:          # Python-float ** near r = 0
@@ -287,12 +295,11 @@ class LayeredQ:
                 and a.cell_ok.tobytes() == b.cell_ok.tobytes())
 
     def _table(self, xi) -> _TailTable:
-        key = None if xi is None else np.asarray(xi, dtype=float).tobytes()
-        tab = self._tables.get(key)
+        tab = self._tables.get(_xi_key(xi))
         if tab is None:
             # threads that race here build equal tables; setdefault keeps
             # the first one stored for all of them
-            tab = self._tables.setdefault(key, self._build_table(xi))
+            tab = self._tables.setdefault(_xi_key(xi), self._build_table(xi))
         return tab
 
     def _build_table(self, xi) -> _TailTable:
@@ -377,12 +384,25 @@ def _tail_groups(q: LayeredQ, sigma) -> list:
     q.same_tail (one for a canonical q), as (representative, member indices) in
     order of first appearance.  A uniform sigma reads q at xi = None: (None, [])."""
     if sigma.is_uniform:
+        _direction_free(q, sigma)
         return [(None, [])]
     groups = {}         # the representative's index -> member indices
     for i, atom in enumerate(sigma.atoms):
         rep = next((r for r in groups if q.same_tail(sigma.atoms[r], atom)), i)
         groups.setdefault(rep, []).append(i)
     return [(sigma.atoms[r], members) for r, members in groups.items()]
+
+
+def _direction_free(q: LayeredQ, sigma) -> None:
+    # a uniform sigma reads q at xi = None: r q at the table's nodes must agree at every xi
+    if sigma.is_uniform and not q.is_canonical:
+        _constant_on_sphere(lambda xi: q._r_q(_LOG_R_NODES, xi), sigma.dimension,
+                            "a q that does not depend on the direction")
+
+
+def _xi_key(xi):
+    # direction xi as a key of a custom q's _tables and _pieces
+    return None if xi is None else np.asarray(xi, dtype=float).tobytes()
 
 
 def _positive_levels(u):
@@ -423,6 +443,7 @@ def canonical_magnitudes(alpha: float, beta: float, gammas, sigma_mass: float,
 
 def jump_mean(q: LayeredQ, sigma, lo: float, hi: float) -> np.ndarray:
     """int z nu(dz) over lo < |z| < hi, for nu(dr dxi) = q(r, xi) dr sigma(dxi)."""
+    _direction_free(q, sigma)
     return sigma.integrate(lambda xi: q.radial_moment(1, lo, hi, xi), 1)
 
 
@@ -435,21 +456,19 @@ def limit_mean(c, sigma) -> np.ndarray:
     return sigma.integrate(c, 1)
 
 
-def _constant_on_sphere(fn, d) -> float:
-    # fn at eight random directions, equal to a relative 1e-9
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((8, d))
-    probes = g / np.linalg.norm(g, axis=1, keepdims=True)
-    vals = np.array([fn(p) for p in probes])
-    if np.max(vals) - np.min(vals) > 1e-9 * max(1.0, np.max(np.abs(vals))):
-        raise ValueError("uniform base measure requires a constant limit density")
-    return float(vals[0])
+def _constant_on_sphere(fn, d, what="a constant limit density") -> None:
+    # fn at xi = None and at eight random directions, equal entrywise to a relative 1e-9
+    g = np.random.default_rng(0).standard_normal((8, d))
+    vals = np.array([fn(None)] + [fn(p) for p in g / np.linalg.norm(g, axis=1, keepdims=True)])
+    if np.any(np.ptp(vals, axis=0) > 1e-9 * np.maximum(1.0, np.max(np.abs(vals), axis=0))):
+        raise ValueError(f"uniform base measure requires {what}")
 
 
 def levy_tail_mass(q: LayeredQ, sigma, x: float) -> float:
     """nu({z : ||z|| > x}) for the Levy measure with density q over sigma."""
     if x <= 0.0:
         raise ValueError("radius must be positive")
+    _direction_free(q, sigma)
     return float(sigma.integrate(lambda xi: q.tail_integral(x, xi)))
 
 

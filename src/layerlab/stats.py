@@ -190,7 +190,7 @@ class LayeredQuadratureCF:
                        for k in members}
 
     def _atom_exponent(self, a: float, group: int, xi) -> complex:
-        key = (round(abs(a), 14), group)
+        key = (round(abs(a), 14) or abs(a), group)     # a tiny |a| is not a = 0
         if key not in self._cache:
             self._cache[key] = (_inner_exponent(self.q, abs(a), xi)
                                 + _outer_exponent(self.q, abs(a), xi))

@@ -418,3 +418,100 @@ def test_radial_moment_overflow_is_a_quadrature_error(skew1):
         q.radial_moment(1, 1e-300, 1.0)
     with pytest.raises(QuadratureError, match=pattern):
         jump_mean(q, skew1, 1e-300, 1.0)
+
+
+def _q_dir():
+    # c(xi) = 1 + xi_1 / 2 weighs xi and -xi differently
+    c_dir = lambda xi: 1.0 if xi is None else 1.0 + 0.5 * xi[0]
+    return LayeredQ.custom(1.5, 0.8, lambda r, xi: c_dir(xi) * (1 + r) ** 0.7 * r ** -2.5,
+                           c_dir, lambda xi: 1.0)
+
+
+def _count_custom_moments(monkeypatch):
+    calls = []
+    moment = LayeredQ._custom_moment
+    monkeypatch.setattr(LayeredQ, "_custom_moment", lambda self, k, e, a, b, xi, inner:
+                        calls.append((k, a, b)) or moment(self, k, e, a, b, xi, inner))
+    return calls
+
+
+def test_fixed_radial_pieces_are_integrated_once(monkeypatch):
+    # [0, 1] and [1, oo) are integrated once per (k, side, xi) and kept: a
+    # second tail below r = 1 runs one quadrature, not two, and every value
+    # has the bytes of a fresh q's
+    calls = _count_custom_moments(monkeypatch)
+    q = blend_q(1.3, 1.9)
+    q.tail_integral(0.3)
+    assert calls == [(0, 0.3, 1.0), (0, 1.0, np.inf)]
+    second = q.tail_integral(0.5)
+    assert calls[2:] == [(0, 0.5, 1.0)]
+    assert second.hex() == blend_q(1.3, 1.9).tail_integral(0.5).hex()
+    for k, lo, hi in ((0, 1.0, np.inf), (1, 1.0, np.inf), (2, 0.0, 1.0), (2, 0.0, 50.0)):
+        warm = q.radial_moment(k, lo, hi)
+        assert warm.hex() == blend_q(1.3, 1.9).radial_moment(k, lo, hi).hex()
+    assert sorted(q._pieces) == [(0, False, None), (1, False, None), (2, True, None)]
+
+
+def test_fixed_pieces_are_kept_per_direction():
+    # q_dir reads differently at +1 and -1, so each keeps its own pieces,
+    # each equal to a fresh q's
+    q = _q_dir()
+    plus, minus = np.array([1.0]), np.array([-1.0])
+    tails = [q.tail_integral(0.5, xi) for xi in (plus, minus)]
+    assert set(q._pieces) == {(0, False, plus.tobytes()), (0, False, minus.tobytes())}
+    assert q._pieces[(0, False, plus.tobytes())] != q._pieces[(0, False, minus.tobytes())]
+    assert [t.hex() for t in tails] == [_q_dir().tail_integral(0.5, xi).hex()
+                                        for xi in (plus, minus)]
+
+
+def test_a_failed_fixed_piece_is_not_kept(monkeypatch):
+    # a quadrature that fails its check raises on every call and stores nothing
+    from types import SimpleNamespace
+
+    from layerlab import QuadratureError, qfunc
+    monkeypatch.setattr(qfunc, "integrate",
+                        SimpleNamespace(quad=lambda *args, **kw: (np.nan, 0.0)))
+    q = blend_q(1.3, 1.9)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="did not converge"):
+            q.radial_moment(1, 1.0, np.inf)
+    assert q._pieces == {}
+
+
+def test_canonical_q_keeps_no_pieces(q_can):
+    q_can.tail_integral(0.5)
+    q_can.radial_moment(1, 0.0, 1.0)
+    q_can.radial_moment(1, 1.0, np.inf)
+    assert q_can._pieces == {}
+
+
+def test_uniform_measure_refuses_a_direction_dependent_q():
+    # a uniform measure reads q at xi = None: every reader refuses a custom q
+    # that does not read the same at every direction, and a direction-free
+    # one runs without building a table
+    from layerlab import LayeredQuadratureCF, gaussian_covariance, layered_law
+    from layerlab.qfunc import jump_mean
+    u2 = SphericalMeasure.uniform(2, 2.0)
+    # q_dir, and a q whose only odd value is the one at xi = None
+    c_none = lambda xi: 2.0 if xi is None else 1.0
+    q_none = LayeredQ.custom(1.3, 2.5, lambda r, xi: c_none(xi) * r ** -2.3 * (1 + r) ** -1.2,
+                             c_none, c_none)
+    readers = (lambda q: layered_law(q, u2), lambda q: LayeredQuadratureCF(q, u2),
+               lambda q: levy_tail_mass(q, u2, 1.0), lambda q: jump_mean(q, u2, 0.0, 1.0),
+               lambda q: gaussian_covariance(q, u2))
+    for q in (_q_dir(), q_none):
+        for read in readers:
+            with pytest.raises(ValueError, match="^uniform base measure requires a q that "
+                                                 "does not depend on the direction$"):
+                read(q)
+    q = blend_q(1.3, 2.5)
+    for read in readers:
+        read(q)
+    assert list(q._tables) == []
+
+
+def test_limit_mean_on_a_uniform_measure_reads_the_density_at_none():
+    # a limit density constant on the sphere but not at xi = None, where a
+    # uniform measure reads it, is refused
+    with pytest.raises(ValueError, match="requires a constant limit density"):
+        limit_mean(lambda xi: 2.0 if xi is None else 1.0, SphericalMeasure.uniform(2, 2.0))

@@ -53,7 +53,18 @@ def test_identity_check_script(tmp_path):
     assert first.returncode == 0 and second.returncode == 0, first.stderr + second.stderr
     lines = first.stdout.splitlines()
     assert len(lines) > 800 and first.stdout == second.stdout
-    assert not any(l.startswith("oracle") and "refused" in l for l in lines)
+    # the one refused oracle: a uniform measure reads q at xi = None, which
+    # q_dir, unlike every other q listed, does not allow
+    assert [l.split(" refused ")[0] for l in lines
+            if l.startswith("oracle") and "refused" in l] == ["oracle uniform-d2 q_dir"]
+    # each custom q's tails and fixed radial pieces hash alike on a q that
+    # earlier lines warmed and value by value on a fresh q
+    pieces = {}
+    for line in lines:
+        name, _, digest = line.rpartition(" ")
+        if " pieces " in name:
+            pieces.setdefault(name.rsplit(" ", 1)[0], []).append(digest)
+    assert len(pieces) == 12 and all(len(v) == 2 and v[0] == v[1] for v in pieces.values())
     by_threads = {}
     for line in lines:
         name, _, digest = line.rpartition(" ")

@@ -303,9 +303,11 @@ def test_centering_decided_by_measure_and_q(sym1):
     for q in (blend_q(1.3, 1.9), LayeredQ.canonical(1.3, 1.9, 2.0)):
         assert layered_law(q, sym1).jumps(draw)[1] is None
         assert q.same_tail(sym1.atoms[0], sym1.atoms[1])
-    # a uniform measure reads q at xi = None, so nothing is centered there
+    # a uniform measure reads q at xi = None, so it refuses q_dir, which is
+    # not the same there as at every direction
     u2 = SphericalMeasure.uniform(2, 2.0)
-    assert layered_law(q_dir, u2).jumps(draw_shot_noise(2203, 1.0, u2, 20.0))[1] is None
+    with pytest.raises(ValueError, match="q that does not depend on the direction"):
+        layered_law(q_dir, u2)
 
 
 def test_direction_dependent_q_matches_the_quadrature_law(sym1):

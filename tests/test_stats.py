@@ -360,13 +360,14 @@ def _q_dir():
 
 
 @pytest.mark.parametrize("q_name, measure, count", [("blend", "symmetric", 11),
-                                                    ("blend", "3 atoms d=2", 33),
+                                                    ("blend", "3 atoms d=2", 34),
                                                     ("q_dir", "symmetric", 22)])
 def test_quadrature_cf_integrates_once_per_tail_group(q_name, measure, count, monkeypatch):
     # atoms whose tails agree (qfunc._tail_groups) share each |a|: a
     # direction-free custom q is integrated once per distinct |a|, as a
     # canonical q is, and q_dir once per |a| and direction; the exponent
-    # is the sum of the one-atom oracles either way
+    # is the sum of the one-atom oracles either way.  On the 3 atoms, y =
+    # +-(4, -3) meets (-0.6, -0.8) at |a| = 4.4e-16, integrated apart from a = 0
     from layerlab import stats
     sigma = {"symmetric": SphericalMeasure.symmetric_pair(2.0),
              "3 atoms d=2": SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
@@ -397,3 +398,15 @@ def test_cf_distance_refuses_a_bad_grid():
                 cf_distance(x, target, grid)
         with pytest.raises(ValueError, match=re.escape(shape)):
             cf.exponent(grid)
+
+
+def test_quadrature_cf_keeps_a_tiny_modulus_apart_from_zero():
+    # <(-4, 3), (-0.6, -0.8)> rounds to 4.4e-16, where canonical(1.5, 0.1)'s
+    # exponent is -0.31: the oracle filed it with a = 0 when a = 0 came first
+    # on the grid.  The two sums over atoms differ in the last bit only
+    sigma = SphericalMeasure.discrete([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]], [1.0, 0.6, 0.4])
+    q = LayeredQ.canonical(1.5, 0.1, sigma.total_mass())
+    Y, y = default_y_grid(2, n=11), np.array([[-4.0, 3.0]])
+    alone = LayeredQuadratureCF(q, sigma).exponent(y)[0]
+    on_grid = LayeredQuadratureCF(q, sigma).exponent(Y)[np.flatnonzero((Y == y).all(axis=1))[0]]
+    assert abs(on_grid - alone) <= 1e-12 * abs(alone)
